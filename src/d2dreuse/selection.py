@@ -153,12 +153,24 @@ def finalize_on_set(
     gains: GainMatrix,
     pattern_set: PatternSet,
     solver_options: SolverOptions,
+    solved: Optional[tuple[RateTable, Allocation]] = None,
 ) -> tuple[RateTable, Allocation, np.ndarray, Allocation]:
-    """Relaxed solve, rounding, and fixed-association re-solve on a set."""
-    table = build_rate_table(scenario, gains, pattern_set.members)
-    relaxed = solve_allocation(table, solver_options)
+    """Relaxed solve, rounding, and fixed-association re-solve on a set.
+
+    solved, when given, is the (rate table, relaxed allocation) pair that a
+    caller already computed on exactly this pattern set and these solver
+    options; the relaxed solve is then not repeated.  The fixed-association
+    solve starts from the relaxed allocation's vertices.
+    """
+    if solved is None:
+        table = build_rate_table(scenario, gains, pattern_set.members)
+        relaxed = solve_allocation(table, solver_options)
+    else:
+        table, relaxed = solved
+        if table.patterns != pattern_set.members:
+            raise ValueError("the solved rate table is not over this pattern set")
     z = round_association(relaxed, table)
-    final = solve_fixed_association(table, z, solver_options)
+    final = solve_fixed_association(table, z, solver_options, start=relaxed)
     return table, relaxed, z, final
 
 
@@ -246,6 +258,8 @@ def run(scenario: Scenario, options: SelectionOptions = SelectionOptions()) -> S
     else:
         flags["converged"] = abs(p_cur - p_prev) <= options.eps2
 
-    table, relaxed, z, final = finalize_on_set(scenario, gains, current, options.solver)
+    # the last relaxed solve is reused when trimming kept its whole set
+    solved = (table, alloc) if table.patterns == current.members else None
+    table, relaxed, z, final = finalize_on_set(scenario, gains, current, options.solver, solved)
     flags["rounding_loss"] = relaxed.objective - final.objective
     return _report("algo", scenario, gains, current, relaxed, z, final, trace, sizes, flags, t0)

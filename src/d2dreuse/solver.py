@@ -6,11 +6,21 @@ oracle decomposes exactly: pick one pattern, then for each server the
 user with the largest gradient entry, so every iterate is an explicit
 convex combination of (pattern, per-server user assignment) vertices.
 
+The start is sparse: an optimum needs only about U active patterns
+(Caratheodory), so the solve begins from the U+1 per-pattern greedy
+vertices with the largest linearized gain at the uniform mix of all of
+them, and the oracle brings in any other vertex it needs.  This keeps the
+active set, and with it the corrective Newton system over the vertex
+weights, near U+1 however many patterns the table holds.  A caller may
+instead start from the vertices of an earlier solution.
+
 Strict rate positivity is handled with a tangent-extended logarithm: below
 a small rate floor the log is continued linearly, which keeps the
 surrogate concave and finite everywhere.  Whenever the returned point has
 all rates above the floor, the surrogate and the true objective share
 value and gradient there, so the Frank-Wolfe gap certificate transfers.
+Steps are sized by exact maximization of the surrogate along the step
+direction, with a 1-D Newton method safeguarded by bisection.
 """
 
 from __future__ import annotations
@@ -31,7 +41,6 @@ class InfeasibleError(RuntimeError):
 class SolverOptions:
     tolerance: float = 1e-6  # relative optimality-gap target
     max_iters: int = 200_000
-    feasibility_tol: float = 1e-8
 
     def __post_init__(self) -> None:
         if not self.tolerance > 0:
@@ -49,6 +58,9 @@ class Allocation:
     fw_gap: float
     iterations: int
     converged: bool
+    # ((pattern index, per-server user or -1), weight) pairs of the returned
+    # convex combination; a later solve can start from them
+    vertices: tuple = field(default=(), repr=False, compare=False)
 
     def to_dict(self, rate_table: Optional[RateTable] = None) -> dict:
         nz = np.argwhere(self.y > 0)
@@ -107,36 +119,78 @@ def _lmo(wc: np.ndarray, inv: np.ndarray, num_bs: int, allowed: Optional[np.ndar
     return i_star, tuple(int(a) for a in assign), float(scores[i_star])
 
 
-def _vertex_phi(wc: np.ndarray, num_bs: int, i: int, assign: tuple[int, ...]) -> np.ndarray:
-    """Effective-rate vector of a vertex (full time on pattern i)."""
-    num_users = wc.shape[0]
-    phi = np.zeros(num_users)
-    for n, u in enumerate(assign):
-        if u < 0:
-            continue
-        val = wc[u, n, i]
-        phi[u] += val
-        if n >= num_bs:
-            phi[n - num_bs] -= val
+def _vertex_rates(wc: np.ndarray, num_bs: int, patterns: np.ndarray, assign: np.ndarray) -> np.ndarray:
+    """Effective-rate vectors of vertices, one row per vertex.
+
+    Vertex k gives pattern patterns[k] all the time, with server n serving
+    user assign[n, k] (-1: idle).  What a relay server sends is subtracted
+    from the rate of the user that owns the relay.
+    """
+    num_users, num_servers, _ = wc.shape
+    num_vertices = len(patterns)
+    served = assign >= 0
+    users = np.where(served, assign, 0)
+    vals = np.where(served, wc[users, np.arange(num_servers)[:, None], patterns[None, :]], 0.0)  # (N, K)
+    rows = users + num_users * np.arange(num_vertices)[None, :]
+    phi = np.bincount(rows.ravel(), weights=vals.ravel(), minlength=num_vertices * num_users)
+    phi = phi.reshape(num_vertices, num_users)
+    phi -= vals[num_bs:].T
     return phi
 
 
+_MAX_LINE_SEARCH_STEPS = 100  # bisection alone needs about 40 to reach the stop width
+_LINE_SEARCH_REL_WIDTH = 1e-12  # stop width relative to gamma_max
+
+
 def _line_search(r_base: np.ndarray, d_r: np.ndarray, gamma_max: float, eps: float) -> float:
-    """Exact maximization of the surrogate along r_base + gamma * d_r."""
+    """Exact maximization of the surrogate along r_base + gamma * d_r.
 
-    def deriv(g: float) -> float:
-        return float(np.dot(d_r, _phi_prime(r_base + g * d_r, eps)))
+    The surrogate is concave in gamma, so its derivative falls and has at
+    most one root in [0, gamma_max].  Newton's method on that derivative
+    finds the root; a step that leaves the current bracket of the root is
+    replaced by bisection.  Returns gamma_max when the derivative is still
+    nonnegative there, and 0 when it is already nonpositive at 0.
+    """
+    d_sq = d_r * d_r
 
-    if deriv(gamma_max) >= 0.0:
+    def derivs(g: float) -> tuple[float, float]:
+        r = r_base + g * d_r
+        inv = 1.0 / np.maximum(r, eps)  # tangent slope 1/eps below the floor
+        curv = np.where(r >= eps, inv * inv, 0.0)
+        return float(np.dot(d_r, inv)), -float(np.dot(d_sq, curv))
+
+    d1, _ = derivs(gamma_max)
+    if d1 >= 0.0:
         return gamma_max
+    g = 0.0
+    d1, d2 = derivs(g)
+    if d1 <= 0.0:
+        return 0.0
     lo, hi = 0.0, gamma_max
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if deriv(mid) > 0.0:
-            lo = mid
+    width = _LINE_SEARCH_REL_WIDTH * gamma_max
+    for _ in range(_MAX_LINE_SEARCH_STEPS):
+        if d2 < 0.0:
+            step = -d1 / d2
+            if abs(step) <= width:
+                return min(max(g + step, lo), hi)
+            g_new = g + step
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            g_new = hi  # no curvature: bisect
+        if not lo < g_new < hi:
+            g_new = 0.5 * (lo + hi)
+        if abs(g_new - g) <= width:
+            return g_new
+        g = g_new
+        d1, d2 = derivs(g)
+        if d1 > 0.0:
+            lo = g
+        elif d1 < 0.0:
+            hi = g
+        else:
+            return g
+        if hi - lo <= width:
+            break
+    return g
 
 
 class _ActiveSet:
@@ -249,24 +303,60 @@ def _corrective_newton(active: "_ActiveSet", eps: float, max_rounds: int = 20) -
             return  # negligible improvement left on this vertex set
 
 
-def _initial_active_set(wc: np.ndarray, num_bs: int, allowed: Optional[np.ndarray]) -> _ActiveSet:
-    """One greedy vertex per pattern, mixed with equal weights."""
-    num_users, _, num_patterns = wc.shape
-    active = _ActiveSet(num_users)
-    for i in range(num_patterns):
-        col = wc[:, :, i].copy()
-        if allowed is not None:
-            col = np.where(allowed[:, :, i], col, -np.inf)
-        assign = col.argmax(axis=0).astype(int)
-        if allowed is not None:
-            assign[col.max(axis=0) <= 0.0] = -1
-        key = (i, tuple(int(a) for a in assign))
-        idx = active.add(key, _vertex_phi(wc, num_bs, i, key[1]))
-        active.w[idx] += 1.0 / num_patterns
+def _active_set(
+    wc: np.ndarray, num_bs: int, patterns: np.ndarray, assign: np.ndarray, weights: np.ndarray
+) -> _ActiveSet:
+    """Active set over the vertices (patterns[k], assign[:, k]) with the
+    given weights; vertices that are equal merge their weights."""
+    phi = _vertex_rates(wc, num_bs, patterns, assign)
+    active = _ActiveSet(wc.shape[0])
+    for k, w in enumerate(weights):
+        idx = active.add((int(patterns[k]), tuple(assign[:, k].tolist())), phi[k])
+        active.w[idx] += w
     return active
 
 
-def _fw_solve(rate_table: RateTable, options: SolverOptions, allowed: Optional[np.ndarray] = None):
+def _sparse_start(wc: np.ndarray, num_bs: int, allowed: Optional[np.ndarray], eps: float):
+    """The U+1 per-pattern greedy vertices of largest linearized PF gain.
+
+    A pattern's greedy vertex lets every server serve its best user (under
+    a fixed association, its best allowed user, or nobody when none has a
+    positive efficiency).  Gains are taken at the uniform mix of all these
+    vertices and ties go to the lower pattern index.  Returns the kept
+    vertices as (patterns, assign, weights), with equal weights.
+    """
+    num_users, _, num_patterns = wc.shape
+    col = wc if allowed is None else np.where(allowed, wc, -np.inf)
+    assign = col.argmax(axis=0)  # (N, I)
+    if allowed is not None:
+        assign[col.max(axis=0) <= 0.0] = -1
+    phi = _vertex_rates(wc, num_bs, np.arange(num_patterns), assign)
+    gain = phi @ _phi_prime(phi.mean(axis=0), eps)
+    keep = np.argsort(-gain, kind="stable")[: num_users + 1]
+    return keep, assign[:, keep], np.full(len(keep), 1.0 / len(keep))
+
+
+def _warm_start(vertices: tuple, allowed: Optional[np.ndarray]):
+    """An earlier solution's vertices as (patterns, assign, weights).
+
+    With an association mask, a server whose user the mask forbids goes
+    idle.
+    """
+    patterns = np.array([i for (i, _), _ in vertices])
+    assign = np.array([a for (_, a), _ in vertices]).T  # (N, K)
+    if allowed is not None:
+        servers = np.arange(assign.shape[0])[:, None]
+        ok = (assign >= 0) & allowed[np.maximum(assign, 0), servers, patterns[None, :]]
+        assign = np.where(ok, assign, -1)
+    return patterns, assign, np.array([w for _, w in vertices])
+
+
+def _fw_solve(
+    rate_table: RateTable,
+    options: SolverOptions,
+    allowed: Optional[np.ndarray] = None,
+    start: tuple = (),
+) -> Allocation:
     wc = rate_table.bandwidth_hz * rate_table.c
     if allowed is not None:
         usable = (wc > 0) & allowed
@@ -278,10 +368,12 @@ def _fw_solve(rate_table: RateTable, options: SolverOptions, allowed: Optional[n
     num_bs = rate_table.num_bs
     tol = options.tolerance
     eps = 1e-8 * float(wc.max())
-    active = _initial_active_set(wc, num_bs, allowed)
+    if start:
+        active = _active_set(wc, num_bs, *_warm_start(start, allowed))
+    else:
+        active = _active_set(wc, num_bs, *_sparse_start(wc, num_bs, allowed, eps))
     active.normalize()
 
-    converged = False
     shrinks = 0
     it = 0
     while it < options.max_iters:
@@ -299,14 +391,18 @@ def _fw_solve(rate_table: RateTable, options: SolverOptions, allowed: Optional[n
 
         if gap_fw <= tol * max(abs(obj), 1.0):
             if min_r >= eps:
-                converged = True
-                break
-            # surrogate optimal but some rate still under the floor
-            shrinks += 1
-            if shrinks > 6:
-                break
-            eps = eps * 1e-3 if min_r <= 0 else min(eps * 1e-3, 0.25 * min_r)
-            continue
+                # exit on the certificate that is returned, whose rates are
+                # recomputed from (x, y) and may differ in the last bits
+                alloc = _assemble(rate_table, active, it, True, allowed)
+                if alloc.fw_gap <= tol * max(abs(alloc.objective), 1.0):
+                    return alloc
+            else:
+                # surrogate optimal but some rate still under the floor
+                shrinks += 1
+                if shrinks > 6:
+                    break
+                eps = eps * 1e-3 if min_r <= 0 else min(eps * 1e-3, 0.25 * min_r)
+                continue
 
         n_active = len(active)
         vals = active.phi[:n_active] @ inv
@@ -316,7 +412,7 @@ def _fw_solve(rate_table: RateTable, options: SolverOptions, allowed: Optional[n
         if gap_fw >= gap_away or active.w[a_idx] >= 1.0 - 1e-12:
             # Frank-Wolfe step toward the oracle vertex
             key = (i_star, assign)
-            s_idx = active.add(key, _vertex_phi(wc, num_bs, i_star, assign))
+            s_idx = active.add(key, _vertex_rates(wc, num_bs, np.array([i_star]), np.array([assign]).T)[0])
             d_r = active.phi[s_idx] - r
             gamma = _line_search(r, d_r, 1.0, eps)
             n_active = len(active)
@@ -338,7 +434,7 @@ def _fw_solve(rate_table: RateTable, options: SolverOptions, allowed: Optional[n
     r = active.rates()
     if float(r.min()) <= 0.0:
         raise InfeasibleError("no strictly positive effective-rate point found")
-    return active, it, converged
+    return _assemble(rate_table, active, it, False, allowed)
 
 
 def _assemble(
@@ -364,8 +460,10 @@ def _assemble(
     inv = 1.0 / rates.r_eff
     _, _, score = _lmo(wc, inv, rate_table.num_bs, allowed)
     fw_gap = score - float(np.dot(inv, rates.r_eff))
+    vertices = tuple((key, float(w)) for key, w in zip(active.keys, active.w))
     return Allocation(
-        x=x, y=y, rates=rates, objective=objective, fw_gap=fw_gap, iterations=iterations, converged=converged
+        x=x, y=y, rates=rates, objective=objective, fw_gap=fw_gap, iterations=iterations,
+        converged=converged, vertices=vertices,
     )
 
 
@@ -378,19 +476,24 @@ def solve_allocation(rate_table: RateTable, options: SolverOptions = SolverOptio
     that exhausts the iteration budget returns its best iterate with
     converged=False.
     """
-    active, iterations, converged = _fw_solve(rate_table, options, allowed=None)
-    return _assemble(rate_table, active, iterations, converged)
+    return _fw_solve(rate_table, options)
 
 
 def solve_fixed_association(
-    rate_table: RateTable, z: np.ndarray, options: SolverOptions = SolverOptions()
+    rate_table: RateTable,
+    z: np.ndarray,
+    options: SolverOptions = SolverOptions(),
+    start: Optional[Allocation] = None,
 ) -> Allocation:
     """PF allocation with a frozen single-server association.
 
     z[u, n, i] is a one-hot server choice per (user, pattern).  Time shares
     obey the one-sided cap per server and pattern: with z fixed a server
     may end up with no profitable user under some pattern and then stays
-    idle for that slice.
+    idle for that slice.  With start given (an allocation on the same
+    table, typically the relaxed one that z was rounded from), the solve
+    begins at its vertices with every server that z does not associate to
+    its user left idle; iterations then count from that point.
     """
     z = np.asarray(z)
     if z.shape != rate_table.c.shape:
@@ -398,6 +501,8 @@ def solve_fixed_association(
     sums = z.sum(axis=1)
     if not np.all(sums == 1):
         raise ValueError("each (user, pattern) must be associated to exactly one server")
+    if start is not None and start.x.shape != (rate_table.num_patterns,):
+        raise ValueError("start must be an allocation on the same rate table")
     mask = z.astype(bool)
-    active, iterations, converged = _fw_solve(rate_table, options, allowed=mask)
-    return _assemble(rate_table, active, iterations, converged, allowed=mask)
+    vertices = start.vertices if start is not None else ()
+    return _fw_solve(rate_table, options, allowed=mask, start=vertices)

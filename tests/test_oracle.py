@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from d2dreuse import InfeasibleError, Scenario
+from d2dreuse import InfeasibleError, Scenario, SolverOptions
 from d2dreuse.cli import gen_scenario
 from d2dreuse.oracle import (
     GuardExceededError,
@@ -30,6 +30,15 @@ class TestBruteForce:
         sc = gen_scenario(13, seed=0)  # 14 servers
         with pytest.raises(GuardExceededError):
             brute_force(sc)
+
+    def test_ten_dues_converge_with_certificate(self):
+        # 2047 patterns; the sparse start keeps the active set near U+1
+        sc = gen_scenario(10, seed=5)
+        alloc, table = brute_force(sc)
+        assert table.num_patterns == 2047
+        assert alloc.converged
+        assert alloc.fw_gap <= SolverOptions().tolerance * max(abs(alloc.objective), 1.0)
+        assert np.all(alloc.rates.r_eff > 0)
 
     def test_single_due_uses_bs_alone(self):
         # with one DUE the relay can only silence or self-serve, so the

@@ -5,6 +5,7 @@ from d2dreuse import (
     Pattern,
     PatternSet,
     SelectionOptions,
+    SolverOptions,
     build_gains,
     build_rate_table,
     gradient,
@@ -17,6 +18,8 @@ from d2dreuse import (
 from d2dreuse.cli import brute_report, gen_scenario
 from d2dreuse.model import rates_from_allocation
 from d2dreuse.oracle import all_patterns, bs_only_baseline, orthogonal_baseline
+from d2dreuse.patterns import initial_set
+from d2dreuse.selection import finalize_on_set
 
 from conftest import blocked_scenario, pf_objective_delta
 from test_model import synthetic_table
@@ -162,6 +165,32 @@ class TestRoundAssociation:
         alloc = solve_allocation(table)
         z = round_association(alloc, table)
         assert np.all(z.sum(axis=1) == 1)
+
+
+class TestFinalizeOnSet:
+    def test_reused_relaxed_solve_equals_a_fresh_one(self):
+        sc = blocked_scenario(6, seed=3)
+        gains = build_gains(sc)
+        pattern_set = initial_set(sc.num_bs, sc.num_due)
+        table = build_rate_table(sc, gains, pattern_set.members)
+        solved = (table, solve_allocation(table))
+        _, relaxed, z, final = finalize_on_set(sc, gains, pattern_set, SolverOptions(), solved)
+        _, fresh, z_fresh, final_fresh = finalize_on_set(sc, gains, pattern_set, SolverOptions())
+        assert relaxed is solved[1]
+        for a, b in ((relaxed, fresh), (final, final_fresh)):
+            assert np.array_equal(a.x, b.x)
+            assert np.array_equal(a.y, b.y)
+            assert np.array_equal(a.rates.r_eff, b.rates.r_eff)
+            assert a.objective == b.objective and a.fw_gap == b.fw_gap
+        assert np.array_equal(z, z_fresh)
+
+    def test_rejects_a_solve_on_another_set(self):
+        sc = gen_scenario(3, seed=1)
+        gains = build_gains(sc)
+        pattern_set = initial_set(sc.num_bs, sc.num_due)
+        other = build_rate_table(sc, gains, pattern_set.members[::-1])
+        with pytest.raises(ValueError):
+            finalize_on_set(sc, gains, pattern_set, SolverOptions(), (other, solve_allocation(other)))
 
 
 def round_association_from(table, y):
