@@ -13,8 +13,6 @@ from .model import (
     dbm_to_watts,
     path_loss_db,
     rates_from_allocation,
-    sinr,
-    spectral_efficiency,
 )
 from .patterns import Pattern, PatternSet, flip_neighborhood, hamming, initial_set, trim
 from .selection import SelectionOptions, SolveReport, round_association, run, score_pattern
@@ -67,10 +65,8 @@ __all__ = [
     "round_association",
     "run",
     "score_pattern",
-    "sinr",
     "solve_allocation",
     "solve_fixed_association",
-    "spectral_efficiency",
     "trim",
 ]
 

@@ -5,16 +5,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
 from . import oracle
 from .model import Rates, Scenario
+from .oracle import brute_report
 from .selection import SelectionOptions, SolveReport, run as run_selection
 from .solver import InfeasibleError, SolverOptions
 
@@ -73,9 +74,21 @@ def _load_scenario(config: dict) -> Scenario:
     )
 
 
+def _config_section(config: dict, name: str, keys) -> dict:
+    """The config's `name` section; a key outside `keys` is an error."""
+    section = config.get(name, {})
+    if not isinstance(section, dict):
+        raise ValueError(f"config section {name} must be an object")
+    unknown = sorted(set(section) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown {name} option(s) in config: {', '.join(unknown)}")
+    return section
+
+
 def _options_from_config(config: dict) -> tuple[SolverOptions, SelectionOptions]:
-    solver = SolverOptions(**config.get("solver", {}))
-    sel = config.get("selection", {})
+    solver_keys = [f.name for f in dataclasses.fields(SolverOptions)]
+    solver = SolverOptions(**_config_section(config, "solver", solver_keys))
+    sel = _config_section(config, "selection", ("eps1", "eps2", "max_outer_iters"))
     selection = SelectionOptions(
         eps1=float(sel.get("eps1", 1e-4)),
         eps2=float(sel.get("eps2", 1e-4)),
@@ -83,21 +96,6 @@ def _options_from_config(config: dict) -> tuple[SolverOptions, SelectionOptions]
         solver=solver,
     )
     return solver, selection
-
-
-def brute_report(scenario: Scenario, solver_options: SolverOptions) -> SolveReport:
-    """SolveReport wrapper around the exhaustive relaxed solve."""
-    t0 = time.perf_counter()
-    from .model import build_gains
-    from .patterns import PatternSet
-    from .selection import _report, round_association
-
-    alloc, table = oracle.brute_force(scenario, solver_options)
-    z = round_association(alloc, table)
-    gains = build_gains(scenario)
-    pattern_set = PatternSet(table.patterns)
-    flags = {"converged": alloc.converged}
-    return _report("brute", scenario, gains, pattern_set, alloc, z, alloc, [alloc.objective], [len(pattern_set)], flags, t0)
 
 
 def run_experiment(config: dict, out_dir: Path, trace: bool = False) -> tuple[dict, list[str]]:

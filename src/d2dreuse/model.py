@@ -1,4 +1,5 @@
-"""Physical network model: geometry, path loss, SINR, and rate bookkeeping.
+"""Physical network model: geometry, path loss, link efficiencies, and rate
+bookkeeping.
 
 Servers are indexed 0..N-1 with the B base stations first and the U
 potential D2D relays after them; user u receives through node B+u.
@@ -212,27 +213,6 @@ def build_gains(scenario: Scenario) -> GainMatrix:
     return GainMatrix(g=g, noise_power_w=float(dbm_to_watts(noise_dbm)), clamped_links=tuple(clamped))
 
 
-def sinr(u: int, n: int, pattern: Pattern, gains: GainMatrix, powers_w: np.ndarray) -> float:
-    """SINR of the server-n to user-u link under the given reuse pattern."""
-    if not pattern.is_active(n):
-        return 0.0
-    active = np.array(pattern.active_set, dtype=int)
-    rx_power = powers_w[active] * gains.g[active, u]
-    signal = powers_w[n] * gains.g[n, u]
-    interference = rx_power.sum() - signal
-    return float(signal / (gains.noise_power_w + interference))
-
-
-def spectral_efficiency(
-    u: int, n: int, pattern: Pattern, gains: GainMatrix, powers_w: np.ndarray, num_bs: int
-) -> float:
-    """Link efficiency in bits/s/Hz; zero while user u's own relay transmits."""
-    if pattern.is_active(num_bs + u):
-        return 0.0
-    val = float(np.log2(1.0 + sinr(u, n, pattern, gains, powers_w)))
-    return val if val >= EFFICIENCY_FLOOR else 0.0
-
-
 def pattern_efficiencies(scenario: Scenario, gains: GainMatrix, pattern: Pattern) -> np.ndarray:
     """Efficiency slice c[u, n] for a single pattern, vectorized."""
     b = scenario.num_bs
@@ -260,13 +240,9 @@ def build_rate_table(scenario: Scenario, gains: GainMatrix, patterns: Sequence[P
     return RateTable(patterns=pats, c=c, bandwidth_hz=scenario.bandwidth_hz, num_bs=scenario.num_bs)
 
 
-def rates_from_allocation(rate_table: RateTable, x: np.ndarray, y: np.ndarray) -> Rates:
-    """Average, relay-serving, and effective rates for a time allocation.
-
-    x is unused numerically (rates depend on y alone) but kept in the
-    signature so callers hand over the full allocation pair.
-    """
-    del x
+def rates_from_allocation(rate_table: RateTable, y: np.ndarray) -> Rates:
+    """Average, relay-serving, and effective rates of the per-user time
+    shares y[u, n, i]."""
     w = rate_table.bandwidth_hz
     contrib = y * rate_table.c  # (U, N, I)
     r_bar = w * contrib.sum(axis=(1, 2))

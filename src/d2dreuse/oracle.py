@@ -5,14 +5,12 @@ comparison schemes (BS-plus-one-relay and BS-only)."""
 from __future__ import annotations
 
 import time
-from typing import Optional
 
 import numpy as np
 
-from . import patterns as pat
 from .model import RateTable, Scenario, build_gains, build_rate_table
 from .patterns import Pattern, PatternSet
-from .selection import SolveReport, _report, finalize_on_set
+from .selection import SolveReport, finalize_on_set, make_report, round_association
 from .solver import Allocation, SolverOptions, solve_allocation
 
 DEFAULT_GUARD_N = 13
@@ -26,18 +24,27 @@ def all_patterns(n_servers: int) -> PatternSet:
     return PatternSet(tuple(Pattern(mask, n_servers) for mask in range(1, 1 << n_servers)))
 
 
-def brute_force(
-    scenario: Scenario,
-    options: SolverOptions = SolverOptions(),
-    guard_n: int = DEFAULT_GUARD_N,
-) -> tuple[Allocation, RateTable]:
+def brute_force(scenario: Scenario, options: SolverOptions = SolverOptions()) -> tuple[Allocation, RateTable]:
     """Optimal relaxed allocation over every feasible reuse pattern."""
     n = scenario.num_servers
-    if n > guard_n:
-        raise GuardExceededError(f"{n} servers would need {2**n - 1} patterns (guard {guard_n})")
+    if n > DEFAULT_GUARD_N:
+        raise GuardExceededError(f"{n} servers would need {2**n - 1} patterns (guard {DEFAULT_GUARD_N})")
     gains = build_gains(scenario)
     table = build_rate_table(scenario, gains, all_patterns(n).members)
     return solve_allocation(table, options), table
+
+
+def brute_report(scenario: Scenario, solver_options: SolverOptions) -> SolveReport:
+    """SolveReport wrapper around the exhaustive relaxed solve."""
+    t0 = time.perf_counter()
+    alloc, table = brute_force(scenario, solver_options)
+    z = round_association(alloc, table)
+    gains = build_gains(scenario)
+    pattern_set = PatternSet(table.patterns)
+    flags = {"converged": alloc.converged}
+    return make_report(
+        "brute", scenario, gains, pattern_set, alloc, z, alloc, [alloc.objective], [len(pattern_set)], flags, t0
+    )
 
 
 def effective_rate_columns(allocation: Allocation, rate_table: RateTable) -> tuple[np.ndarray, np.ndarray]:
@@ -127,32 +134,30 @@ def reduce_support(phi: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _fixed_set_report(
+    method: str, scenario: Scenario, pattern_set: PatternSet, solver_options: SolverOptions, t0: float
+) -> SolveReport:
+    """Relaxed solve, rounding and fixed-association re-solve on a set
+    chosen without selection."""
+    gains = build_gains(scenario)
+    _, relaxed, z, final = finalize_on_set(scenario, gains, pattern_set, solver_options)
+    flags = {"converged": relaxed.converged and final.converged}
+    return make_report(
+        method, scenario, gains, pattern_set, relaxed, z, final, [relaxed.objective], [len(pattern_set)], flags, t0
+    )
+
+
 def orthogonal_baseline(scenario: Scenario, solver_options: SolverOptions = SolverOptions()) -> SolveReport:
     """BS plus exactly one relay active at a time; no pattern selection."""
     t0 = time.perf_counter()
     n = scenario.num_servers
-    members = tuple(
-        Pattern.from_active([0, scenario.num_bs + u], n) for u in range(scenario.num_due)
-    )
-    pattern_set = PatternSet(members)
-    gains = build_gains(scenario)
-    _, relaxed, z, final = finalize_on_set(scenario, gains, pattern_set, solver_options)
-    flags = {"converged": relaxed.converged and final.converged}
-    return _report(
-        "orthogonal", scenario, gains, pattern_set, relaxed, z, final,
-        [relaxed.objective], [len(pattern_set)], flags, t0,
-    )
+    members = tuple(Pattern.from_active([0, scenario.num_bs + u], n) for u in range(scenario.num_due))
+    return _fixed_set_report("orthogonal", scenario, PatternSet(members), solver_options, t0)
 
 
 def bs_only_baseline(scenario: Scenario, solver_options: SolverOptions = SolverOptions()) -> SolveReport:
     """No relaying: each BS transmits alone and time-shares its users."""
     t0 = time.perf_counter()
     n = scenario.num_servers
-    pattern_set = PatternSet(tuple(Pattern.unit(b, n) for b in range(scenario.num_bs)))
-    gains = build_gains(scenario)
-    _, relaxed, z, final = finalize_on_set(scenario, gains, pattern_set, solver_options)
-    flags = {"converged": relaxed.converged and final.converged}
-    return _report(
-        "bs_only", scenario, gains, pattern_set, relaxed, z, final,
-        [relaxed.objective], [len(pattern_set)], flags, t0,
-    )
+    members = tuple(Pattern.unit(b, n) for b in range(scenario.num_bs))
+    return _fixed_set_report("bs_only", scenario, PatternSet(members), solver_options, t0)

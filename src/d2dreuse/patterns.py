@@ -7,8 +7,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-MAX_SERVERS = 64
-
 
 @dataclass(frozen=True)
 class Pattern:
@@ -23,8 +21,8 @@ class Pattern:
     n_servers: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_servers <= MAX_SERVERS:
-            raise ValueError(f"n_servers must be in [1, {MAX_SERVERS}], got {self.n_servers}")
+        if self.n_servers < 1:
+            raise ValueError(f"n_servers must be positive, got {self.n_servers}")
         if not 0 < self.mask < (1 << self.n_servers):
             raise ValueError(f"pattern mask {self.mask:#x} out of range for {self.n_servers} servers")
 

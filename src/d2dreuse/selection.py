@@ -10,9 +10,9 @@ from typing import Optional
 import numpy as np
 
 from . import patterns as pat
-from .model import GainMatrix, RateTable, Rates, Scenario, build_gains, build_rate_table, pattern_efficiencies
+from .model import GainMatrix, RateTable, Rates, Scenario, build_gains, build_rate_table
 from .patterns import Pattern, PatternSet
-from .solver import Allocation, SolverOptions, solve_allocation, solve_fixed_association
+from .solver import Allocation, SolverOptions, pattern_scores, solve_allocation, solve_fixed_association
 
 
 @dataclass(frozen=True)
@@ -68,70 +68,62 @@ class SolveReport:
         }
 
 
+def _linearize(rate_table: RateTable, rates: Rates) -> tuple[np.ndarray, np.ndarray]:
+    if np.any(rates.r_eff <= 0):
+        raise ValueError("scoring requires strictly positive effective rates")
+    return pattern_scores(rate_table.bandwidth_hz * rate_table.c, 1.0 / rates.r_eff, rate_table.num_bs)
+
+
 def gradient(rate_table: RateTable, rates: Rates) -> np.ndarray:
     """Per-(user, server, pattern) derivative of the PF objective in y."""
-    if np.any(rates.r_eff <= 0):
-        raise ValueError("gradient requires strictly positive effective rates")
-    inv = 1.0 / rates.r_eff
-    num_bs = rate_table.num_bs
-    coef = inv[:, None] - np.concatenate([np.zeros(num_bs), inv])[None, :]
-    return rate_table.bandwidth_hz * rate_table.c * coef[:, :, None]
+    return _linearize(rate_table, rates)[1]
 
 
-def score_pattern(
-    candidate: Pattern, scenario: Scenario, gains: GainMatrix, rates: Rates
-) -> tuple[float, np.ndarray]:
-    """Linearized gain of granting the candidate pattern all the time.
+def score_pattern(rate_table: RateTable, rates: Rates) -> np.ndarray:
+    """Linearized gain of granting each pattern of the table all the time.
 
-    Per server the best user under the current gradient is picked (ties to
-    the lowest index); the score is the sum of those best entries.
+    Per server the best user under the current gradient is picked; a
+    pattern's score is the sum of those best entries, the value the
+    Frank-Wolfe linear oracle maximizes.
     """
-    if np.any(rates.r_eff <= 0):
-        raise ValueError("score_pattern requires strictly positive effective rates")
-    c = pattern_efficiencies(scenario, gains, candidate)  # (U, N)
-    inv = 1.0 / rates.r_eff
-    num_bs = scenario.num_bs
-    coef = inv[:, None] - np.concatenate([np.zeros(num_bs), inv])[None, :]
-    p = scenario.bandwidth_hz * c * coef
-    best_users = p.argmax(axis=0)
-    score = float(p.max(axis=0).sum())
-    return score, best_users
+    return _linearize(rate_table, rates)[0]
 
 
 def propose_candidates(
-    current: PatternSet,
-    scenario: Scenario,
-    gains: GainMatrix,
-    rates: Rates,
-    score_cache: Optional[dict] = None,
+    current: PatternSet, scenario: Scenario, gains: GainMatrix, rates: Rates
 ) -> tuple[list[Pattern], float]:
     """Per-server best single-bit-flip candidates not already in the set.
 
-    Returns the deduplicated winners (one per server at most) together
-    with the best candidate score seen, for the caller's stopping rule.
+    All candidates are scored in one rate table.  Returns the deduplicated
+    winners (one per server at most, ties to the first candidate of the
+    server's neighborhood) together with the best candidate score seen, for
+    the caller's stopping rule.
     """
-    cache: dict[int, float] = {} if score_cache is None else score_cache
-    winners: list[Pattern] = []
     current_masks = {p.mask for p in current}
+    hoods = [
+        [cand for cand in pat.flip_neighborhood(current, n) if cand.mask not in current_masks]
+        for n in range(scenario.num_servers)
+    ]
+    candidates: dict[int, Pattern] = {}  # first-occurrence order
+    for hood in hoods:
+        for cand in hood:
+            candidates.setdefault(cand.mask, cand)
+    if not candidates:
+        return [], float("-inf")
+    column = {mask: k for k, mask in enumerate(candidates)}
+    scores = score_pattern(build_rate_table(scenario, gains, list(candidates.values())), rates)
+    winners: list[Pattern] = []
     seen = set(current_masks)
     best_score = float("-inf")
-    for n in range(scenario.num_servers):
-        best: Optional[Pattern] = None
-        best_n = float("-inf")
-        for cand in pat.flip_neighborhood(current, n):
-            if cand.mask in current_masks:
-                continue
-            if cand.mask not in cache:
-                cache[cand.mask], _ = score_pattern(cand, scenario, gains, rates)
-            s = cache[cand.mask]
-            if s > best_n:
-                best_n = s
-                best = cand
-        if best is not None:
-            best_score = max(best_score, best_n)
-            if best.mask not in seen:
-                winners.append(best)
-                seen.add(best.mask)
+    for hood in hoods:
+        if not hood:
+            continue
+        hood_scores = scores[[column[cand.mask] for cand in hood]]
+        k = int(np.argmax(hood_scores))
+        best_score = max(best_score, float(hood_scores[k]))
+        if hood[k].mask not in seen:
+            winners.append(hood[k])
+            seen.add(hood[k].mask)
     return winners, best_score
 
 
@@ -174,7 +166,7 @@ def finalize_on_set(
     return table, relaxed, z, final
 
 
-def _report(
+def make_report(
     method: str,
     scenario: Scenario,
     gains: GainMatrix,
@@ -187,6 +179,8 @@ def _report(
     flags: dict,
     t0: float,
 ) -> SolveReport:
+    """Report of a solve whose final pattern set is pattern_set; the wall
+    time counts from t0."""
     r = final.rates.r_eff
     gm = float(np.exp(np.log(r).mean()) / 1e6)
     warnings = [f"link distance clamped to 1 m: server {n} -> user {u}" for n, u in gains.clamped_links]
@@ -235,12 +229,12 @@ def run(scenario: Scenario, options: SelectionOptions = SelectionOptions()) -> S
         and (len(current) <= num_due or t == 1)
         and t < options.max_outer_iters
     ):
-        cache: dict[int, float] = {}
-        winners, best_candidate = propose_candidates(current, scenario, gains, alloc.rates, cache)
+        winners, best_candidate = propose_candidates(current, scenario, gains, alloc.rates)
         if not winners:
             flags["converged"] = True
             break
-        best_in_set = max(score_pattern(p, scenario, gains, alloc.rates)[0] for p in current)
+        in_set = [p in current for p in table.patterns]  # trimming keeps current within the table
+        best_in_set = float(score_pattern(table, alloc.rates)[in_set].max())
         if best_candidate <= best_in_set:
             flags["stalled"] = True
             flags["converged"] = True
@@ -262,4 +256,4 @@ def run(scenario: Scenario, options: SelectionOptions = SelectionOptions()) -> S
     solved = (table, alloc) if table.patterns == current.members else None
     table, relaxed, z, final = finalize_on_set(scenario, gains, current, options.solver, solved)
     flags["rounding_loss"] = relaxed.objective - final.objective
-    return _report("algo", scenario, gains, current, relaxed, z, final, trace, sizes, flags, t0)
+    return make_report("algo", scenario, gains, current, relaxed, z, final, trace, sizes, flags, t0)

@@ -80,7 +80,7 @@ class Allocation:
 
 def directional_objective(rate_table: RateTable, y: np.ndarray) -> float:
     """PF objective of a feasible point; -inf flags a nonpositive rate."""
-    rates = rates_from_allocation(rate_table, None, y)
+    rates = rates_from_allocation(rate_table, y)
     if np.any(rates.r_eff <= 0):
         return float("-inf")
     return float(np.log(rates.r_eff).sum())
@@ -95,13 +95,17 @@ def _phi_prime(r: np.ndarray, eps: float) -> np.ndarray:
     return np.where(r >= eps, 1.0 / np.maximum(r, eps), 1.0 / eps)
 
 
-def _lmo(wc: np.ndarray, inv: np.ndarray, num_bs: int, allowed: Optional[np.ndarray]):
-    """Best vertex for the linearized objective.
+def pattern_scores(wc: np.ndarray, inv: np.ndarray, num_bs: int, allowed: Optional[np.ndarray] = None):
+    """Linearized PF gain of every pattern's best vertex.
 
-    Returns (pattern index, per-server user assignment, score).  The score
-    per pattern is the sum over servers of the best gradient entry; with a
-    fixed association mask a server may stay idle (assignment -1) when all
-    of its allowed entries are negative.
+    wc[u, n, i] is the bandwidth-weighted efficiency and inv the derivative
+    of the (surrogate) log at the current rates.  Serving user u from server
+    n adds to u's rate and, when n is a relay, takes the same amount from
+    the relay's owner, so the weighted tensor is wc * (inv[u] - inv[owner
+    of n]).  A pattern's score is the sum over servers of its best entry;
+    with an association mask a server may stay idle, so its entry is at
+    least 0.  Returns (scores (I,), weighted tensor (U, N, I)), the tensor
+    at -inf where the mask forbids an entry.
     """
     coef = inv[:, None] - np.concatenate([np.zeros(num_bs), inv])[None, :]
     p = wc * coef[:, :, None]
@@ -110,7 +114,16 @@ def _lmo(wc: np.ndarray, inv: np.ndarray, num_bs: int, allowed: Optional[np.ndar
     per_server = p.max(axis=0)  # (N, I)
     if allowed is not None:
         per_server = np.maximum(per_server, 0.0)
-    scores = per_server.sum(axis=0)
+    return per_server.sum(axis=0), p
+
+
+def _lmo(wc: np.ndarray, inv: np.ndarray, num_bs: int, allowed: Optional[np.ndarray]):
+    """Best vertex for the linearized objective.
+
+    Returns (pattern index, per-server user assignment, score); a server
+    with only negative allowed entries stays idle (assignment -1).
+    """
+    scores, p = pattern_scores(wc, inv, num_bs, allowed)
     i_star = int(np.argmax(scores))
     col = p[:, :, i_star]  # (U, N)
     assign = col.argmax(axis=0).astype(int)
@@ -453,12 +466,12 @@ def _assemble(
         for n, u in enumerate(assign):
             if u >= 0:
                 y[u, n, i] += w
-    rates = rates_from_allocation(rate_table, x, y)
+    rates = rates_from_allocation(rate_table, y)
     objective = float(np.log(rates.r_eff).sum())
     # certificate with the exact gradient at the returned point
     wc = rate_table.bandwidth_hz * rate_table.c
     inv = 1.0 / rates.r_eff
-    _, _, score = _lmo(wc, inv, rate_table.num_bs, allowed)
+    score = float(pattern_scores(wc, inv, rate_table.num_bs, allowed)[0].max())
     fw_gap = score - float(np.dot(inv, rates.r_eff))
     vertices = tuple((key, float(w)) for key, w in zip(active.keys, active.w))
     return Allocation(

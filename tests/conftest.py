@@ -38,8 +38,8 @@ def pf_objective_delta(table, y_plus, y_minus):
     y, so the rate change is taken as the rates of the step y_plus - y_minus
     and summed per user as log1p of the relative change.
     """
-    r_minus = rates_from_allocation(table, None, y_minus).r_eff
-    r_step = rates_from_allocation(table, None, y_plus - y_minus).r_eff
+    r_minus = rates_from_allocation(table, y_minus).r_eff
+    r_step = rates_from_allocation(table, y_plus - y_minus).r_eff
     return float(np.log1p(r_step / r_minus).sum())
 
 

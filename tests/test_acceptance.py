@@ -143,7 +143,7 @@ def test_criterion_5_gradient_matches_finite_differences():
                 y_rand[:, n, i] = x[i] * rng.dirichlet(np.ones(num_users))
         for theta in (0.5, 0.2, 0.05, 0.01):
             y = (1 - theta) * opt.y + theta * y_rand
-            rates = rates_from_allocation(table, None, y)
+            rates = rates_from_allocation(table, y)
             if np.all(rates.r_eff > 0):
                 break
         else:

@@ -139,6 +139,18 @@ class TestMain:
         for r in rows:
             assert float(r["gm_algo_mbps"]) > 0
 
+    @pytest.mark.parametrize("options, message", [
+        ({"solver": {"feasibility_tol": 1e-8}}, "unknown solver option(s) in config: feasibility_tol"),
+        ({"selection": {"eps1": 1e-3, "eps3": 1e-3}}, "unknown selection option(s) in config: eps3"),
+        ({"selection": 5}, "config section selection must be an object"),
+    ])
+    def test_unknown_config_option_is_an_error(self, tmp_path, capsys, options, message):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"scenario": {"dues": 2, "seed": 1}, "methods": ["algo"], **options}))
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out" / "report_algo.json").exists()
+
     def test_usage_errors(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "missing.json")]) == 1
         assert main(["gen", "--dues", "0", "--seed", "1", "--out", str(tmp_path / "s.json")]) == 1

@@ -11,9 +11,32 @@ from d2dreuse import (
     dbm_to_watts,
     path_loss_db,
     rates_from_allocation,
-    sinr,
-    spectral_efficiency,
 )
+from d2dreuse.cli import gen_scenario
+from d2dreuse.model import EFFICIENCY_FLOOR, GainMatrix, pattern_efficiencies
+from d2dreuse.oracle import all_patterns
+
+
+def sinr(u: int, n: int, pattern: Pattern, gains: GainMatrix, powers_w: np.ndarray) -> float:
+    """Scalar reference: SINR of the server-n to user-u link under a pattern."""
+    if not pattern.is_active(n):
+        return 0.0
+    active = np.array(pattern.active_set, dtype=int)
+    rx_power = powers_w[active] * gains.g[active, u]
+    signal = powers_w[n] * gains.g[n, u]
+    interference = rx_power.sum() - signal
+    return float(signal / (gains.noise_power_w + interference))
+
+
+def spectral_efficiency(
+    u: int, n: int, pattern: Pattern, gains: GainMatrix, powers_w: np.ndarray, num_bs: int
+) -> float:
+    """Scalar reference: link efficiency in bits/s/Hz; zero while user u's
+    own relay transmits."""
+    if pattern.is_active(num_bs + u):
+        return 0.0
+    val = float(np.log2(1.0 + sinr(u, n, pattern, gains, powers_w)))
+    return val if val >= EFFICIENCY_FLOOR else 0.0
 
 
 def simple_scenario(num_due=2, due_offsets=((10.0, 0.0), (0.0, 10.0)), walls=None):
@@ -101,8 +124,6 @@ class TestSinr:
 
     def test_symmetric_interferers_give_unit_sinr(self):
         # two active servers with identical received power and negligible noise
-        from d2dreuse.model import GainMatrix
-
         g = np.array([[1e-8], [1e-8], [0.0]])
         gains = GainMatrix(g=g, noise_power_w=1e-8 * 1.0 * 1e-12)
         powers = np.array([1.0, 1.0, 1.0])
@@ -129,8 +150,6 @@ class TestSinr:
 
 class TestSpectralEfficiency:
     def test_unit_sinr_is_one_bit(self):
-        from d2dreuse.model import GainMatrix
-
         # BS and a second DUE's server interfere with equal received power
         g = np.array([[1e-8, 0.0], [0.0, 0.0], [1e-8, 0.0]])
         gains = GainMatrix(g=g, noise_power_w=1e-8 * 1e-12)
@@ -145,12 +164,30 @@ class TestSpectralEfficiency:
         assert spectral_efficiency(0, 0, p, gains, sc.powers_w(), num_bs=1) == 0.0
 
     def test_sinr_three_gives_two_bits(self):
-        from d2dreuse.model import GainMatrix
-
         gains = GainMatrix(g=np.array([[3e-8], [0.0]]), noise_power_w=3e-8 / 3.0)
         powers = np.ones(2)
         p = Pattern.from_bitstring("10")
         assert spectral_efficiency(0, 0, p, gains, powers, num_bs=1) == pytest.approx(2.0)
+
+
+class TestPatternEfficiencies:
+    def test_matches_scalar_reference_on_every_pattern(self):
+        sc = gen_scenario(4, seed=6, walls_random=4)
+        gains = build_gains(sc)
+        powers = sc.powers_w()
+        worst, checked = 0.0, 0
+        for p in all_patterns(sc.num_servers):
+            c = pattern_efficiencies(sc, gains, p)
+            for u in range(sc.num_due):
+                for n in range(sc.num_servers):
+                    ref = spectral_efficiency(u, n, p, gains, powers, sc.num_bs)
+                    err = abs(c[u, n] - ref)
+                    assert err <= 1e-12 * abs(ref), (p.bitstring(), u, n, c[u, n], ref)
+                    if ref:
+                        worst = max(worst, err / ref)
+                    checked += 1
+        assert checked == 31 * 4 * 5
+        print(f"pattern_efficiencies: {checked} entries, worst relative error {worst:.2e}")
 
 
 class TestRateTable:
@@ -197,7 +234,7 @@ def synthetic_table(c, bandwidth=2.0e7, num_bs=1):
 class TestRatesFromAllocation:
     def test_zero_allocation(self):
         table = synthetic_table(np.zeros((2, 3, 1)))
-        rates = rates_from_allocation(table, np.zeros(1), np.zeros((2, 3, 1)))
+        rates = rates_from_allocation(table, np.zeros((2, 3, 1)))
         assert np.all(rates.r_bar == 0) and np.all(rates.r_tilde == 0) and np.all(rates.r_eff == 0)
 
     def test_full_time_single_user(self):
@@ -206,7 +243,7 @@ class TestRatesFromAllocation:
         table = synthetic_table(c)
         y = np.zeros((1, 2, 1))
         y[0, 0, 0] = 1.0
-        rates = rates_from_allocation(table, np.ones(1), y)
+        rates = rates_from_allocation(table, y)
         assert rates.r_bar[0] == pytest.approx(40e6)
         assert rates.r_eff[0] == pytest.approx(40e6)
 
@@ -219,7 +256,7 @@ class TestRatesFromAllocation:
         y = np.zeros((2, 3, 1))
         y[1, 0, 0] = 0.5
         y[0, 2, 0] = 0.25
-        rates = rates_from_allocation(table, np.ones(1), y)
+        rates = rates_from_allocation(table, y)
         assert rates.r_eff[1] == pytest.approx(20e6)
         assert rates.r_eff[0] == pytest.approx(10e6)
 
@@ -228,8 +265,8 @@ class TestRatesFromAllocation:
         c = rng.uniform(0, 5, size=(2, 3, 2))
         table = synthetic_table(c)
         y = rng.uniform(0, 0.3, size=(2, 3, 2))
-        r1 = rates_from_allocation(table, None, y)
-        r2 = rates_from_allocation(table, None, 0.5 * y)
+        r1 = rates_from_allocation(table, y)
+        r2 = rates_from_allocation(table, 0.5 * y)
         assert np.allclose(r2.r_bar, 0.5 * r1.r_bar)
         assert np.allclose(r2.r_tilde, 0.5 * r1.r_tilde)
         assert np.allclose(r2.r_eff, 0.5 * r1.r_eff)

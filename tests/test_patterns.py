@@ -9,9 +9,16 @@ class TestPattern:
         with pytest.raises(ValueError):
             Pattern(0, 3)
 
-    def test_too_many_servers_rejected(self):
-        with pytest.raises(ValueError):
-            Pattern(1, 65)
+    def test_hundred_and_one_servers(self):
+        # masks are Python ints, so no server count is too large to pack
+        bits = "1" + "0" * 63 + "1" + "0" * 35 + "1"
+        p = Pattern.from_bitstring(bits)
+        assert p.n_servers == 101 and p.bitstring() == bits
+        assert p.active_set == (0, 64, 100)
+        assert p.bits().sum() == 3
+        v = PatternSet((p, Pattern.unit(100, 101)))
+        assert [q.active_set for q in flip_neighborhood(v, 100)] == [(0, 64)]
+        assert [q.active_set for q in flip_neighborhood(v, 99)] == [(0, 64, 99, 100), (99, 100)]
 
     def test_bitstring_round_trip(self):
         p = Pattern.from_bitstring("10110")

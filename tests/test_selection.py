@@ -3,7 +3,6 @@ import pytest
 
 from d2dreuse import (
     Pattern,
-    PatternSet,
     SelectionOptions,
     SolverOptions,
     build_gains,
@@ -16,10 +15,11 @@ from d2dreuse import (
     solve_allocation,
 )
 from d2dreuse.cli import brute_report, gen_scenario
-from d2dreuse.model import rates_from_allocation
+from d2dreuse.model import pattern_efficiencies, rates_from_allocation
 from d2dreuse.oracle import all_patterns, bs_only_baseline, orthogonal_baseline
-from d2dreuse.patterns import initial_set
+from d2dreuse.patterns import flip_neighborhood, hamming, initial_set
 from d2dreuse.selection import finalize_on_set
+from d2dreuse.solver import _lmo
 
 from conftest import blocked_scenario, pf_objective_delta
 from test_model import synthetic_table
@@ -32,7 +32,7 @@ def random_interior_point(rng, num_users, num_patterns):
     c[:, 1:, :] *= 0.05  # keep relay forwarding small against BS service
     table = synthetic_table(c)
     y = rng.uniform(0.01, 0.2, size=(num_users, n, num_patterns))
-    rates = rates_from_allocation(table, None, y)
+    rates = rates_from_allocation(table, y)
     assert np.all(rates.r_eff > 0)
     return table, y, rates
 
@@ -63,9 +63,63 @@ class TestGradient:
         c = np.zeros((1, 2, 1))
         c[0, 0, 0] = 2.0
         table = synthetic_table(c)
-        rates = rates_from_allocation(table, None, np.zeros((1, 2, 1)))
+        rates = rates_from_allocation(table, np.zeros((1, 2, 1)))
         with pytest.raises(ValueError):
             gradient(table, rates)
+
+
+def old_best_entries(cand, scenario, gains, rates):
+    """Reference: per-server best entries of the per-candidate score that
+    the table scoring replaced; the score is their sum."""
+    c = pattern_efficiencies(scenario, gains, cand)  # (U, N)
+    inv = 1.0 / rates.r_eff
+    coef = inv[:, None] - np.concatenate([np.zeros(scenario.num_bs), inv])[None, :]
+    p = scenario.bandwidth_hz * c * coef
+    return p.max(axis=0)
+
+
+def old_score(cand, scenario, gains, rates):
+    return float(old_best_entries(cand, scenario, gains, rates).sum())
+
+
+def old_propose(current, scenario, gains, rates):
+    """Reference: the per-candidate proposal loop (strict > keeps the first
+    of equal scores)."""
+    scores = {}
+    winners = []
+    current_masks = {p.mask for p in current}
+    seen = set(current_masks)
+    best_score = float("-inf")
+    for n in range(scenario.num_servers):
+        best, best_n = None, float("-inf")
+        for cand in flip_neighborhood(current, n):
+            if cand.mask in current_masks:
+                continue
+            if cand.mask not in scores:
+                scores[cand.mask] = old_score(cand, scenario, gains, rates)
+            if scores[cand.mask] > best_n:
+                best_n, best = scores[cand.mask], cand
+        if best is not None:
+            best_score = max(best_score, best_n)
+            if best.mask not in seen:
+                winners.append(best)
+                seen.add(best.mask)
+    return winners, best_score
+
+
+def summation_bound(scenario, gains, cand, rates):
+    """Round-off allowed between two summation orders of a score: each
+    order of N terms is off by at most N ulps of the sum of magnitudes."""
+    magnitude = float(np.abs(old_best_entries(cand, scenario, gains, rates)).sum())
+    return 2 * scenario.num_servers * np.finfo(float).eps * magnitude
+
+
+def start_point(scenario):
+    """run's first candidate set and the relaxed rates on it."""
+    gains = build_gains(scenario)
+    current = initial_set(scenario.num_bs, scenario.num_due).union([Pattern.unit(0, scenario.num_servers)])
+    alloc = solve_allocation(build_rate_table(scenario, gains, current.members))
+    return gains, current, alloc
 
 
 class TestScorePattern:
@@ -81,34 +135,58 @@ class TestScorePattern:
             table = build_rate_table(self.sc, self.gains, (cand,))
             g = gradient(table, self.alloc.rates)[:, :, 0]
             expected = float(g.max(axis=0).sum())
-            score, best_users = score_pattern(cand, self.sc, self.gains, self.alloc.rates)
+            (score,) = score_pattern(table, self.alloc.rates)
             assert score == pytest.approx(expected, rel=1e-12)
-            assert np.array_equal(best_users, g.argmax(axis=0))
 
     def test_score_is_gradient_value_of_full_time_vertex(self):
         cand = Pattern(5, self.sc.num_servers)
-        score, best_users = score_pattern(cand, self.sc, self.gains, self.alloc.rates)
         table = build_rate_table(self.sc, self.gains, (cand,))
-        y = np.zeros_like(table.c)
-        for n, u in enumerate(best_users):
-            y[u, n, 0] = 1.0
         g = gradient(table, self.alloc.rates)
+        y = np.zeros_like(table.c)
+        for n, u in enumerate(g[:, :, 0].argmax(axis=0)):
+            y[u, n, 0] = 1.0
+        (score,) = score_pattern(table, self.alloc.rates)
         assert score == pytest.approx(float((g * y).sum()), rel=1e-12)
+
+    @pytest.mark.parametrize("num_due, seed", [(3, 21), (5, 4), (12, 8)])
+    def test_table_scores_match_per_candidate_formula(self, num_due, seed):
+        sc = gen_scenario(num_due, seed=seed, walls_random=4)
+        gains, current, alloc = start_point(sc)
+        rng = np.random.default_rng(seed)
+        pool = 2 ** min(sc.num_servers, 16) - 1
+        masks = 1 + rng.choice(pool, size=min(pool, 40), replace=False)
+        cands = [Pattern(int(m), sc.num_servers) for m in masks]
+        table = build_rate_table(sc, gains, cands)
+        scores = score_pattern(table, alloc.rates)
+        assert scores.shape == (len(cands),)
+        for k, cand in enumerate(cands):
+            ref = old_score(cand, sc, gains, alloc.rates)
+            if sc.num_servers < 8:
+                assert scores[k] == ref
+            else:
+                assert abs(scores[k] - ref) <= summation_bound(sc, gains, cand, alloc.rates)
+        # the best table score is the score of the Frank-Wolfe oracle's vertex
+        wc = table.bandwidth_hz * table.c
+        i_star, _, lmo_score = _lmo(wc, 1.0 / alloc.rates.r_eff, sc.num_bs, None)
+        assert int(np.argmax(scores)) == i_star
+        assert scores.max() == lmo_score
+
+    def test_rejects_nonpositive_rates(self):
+        table = build_rate_table(self.sc, self.gains, (Pattern(1, self.sc.num_servers),))
+        rates = rates_from_allocation(table, np.zeros_like(table.c))
+        with pytest.raises(ValueError):
+            score_pattern(table, rates)
 
 
 class TestProposeCandidates:
     def setup_method(self):
         self.sc = gen_scenario(3, seed=8)
         self.gains = build_gains(self.sc)
-        from d2dreuse.patterns import initial_set
-
         self.current = initial_set(1, 3)
         table = build_rate_table(self.sc, self.gains, self.current.members)
         self.alloc = solve_allocation(table)
 
     def test_winners_are_new_distance_one_patterns(self):
-        from d2dreuse.patterns import hamming
-
         winners, best = propose_candidates(self.current, self.sc, self.gains, self.alloc.rates)
         assert winners
         assert len(winners) <= self.sc.num_servers
@@ -116,9 +194,8 @@ class TestProposeCandidates:
         for w in winners:
             assert w.mask not in masks
             assert min(hamming(w, m) for m in self.current) == 1
-        assert best == pytest.approx(
-            max(score_pattern(w, self.sc, self.gains, self.alloc.rates)[0] for w in winners)
-        )
+        table = build_rate_table(self.sc, self.gains, winners)
+        assert best == pytest.approx(float(score_pattern(table, self.alloc.rates).max()))
 
     def test_empty_when_set_is_complete(self):
         full = all_patterns(self.sc.num_servers)
@@ -128,13 +205,20 @@ class TestProposeCandidates:
         assert winners == []
         assert best == float("-inf")
 
-    def test_cache_is_filled_and_reused(self):
-        cache = {}
-        propose_candidates(self.current, self.sc, self.gains, self.alloc.rates, cache)
-        assert cache
-        frozen = dict(cache)
-        propose_candidates(self.current, self.sc, self.gains, self.alloc.rates, cache)
-        assert cache == frozen
+    @pytest.mark.parametrize("num_due, seed", [(3, 8), (4, 2), (6, 3), (6, 14), (12, 5), (12, 92)])
+    def test_matches_per_candidate_loop(self, num_due, seed):
+        sc = blocked_scenario(num_due, seed=seed)
+        gains, current, alloc = start_point(sc)
+        # the start set, then the larger set after one extension
+        for _ in range(2):
+            winners, best = propose_candidates(current, sc, gains, alloc.rates)
+            ref_winners, ref_best = old_propose(current, sc, gains, alloc.rates)
+            assert winners == ref_winners
+            # the best score is a winner's
+            bounds = [summation_bound(sc, gains, w, alloc.rates) for w in ref_winners]
+            assert abs(best - ref_best) <= (max(bounds) if sc.num_servers >= 8 else 0.0)
+            current = current.union(winners)
+            alloc = solve_allocation(build_rate_table(sc, gains, current.members))
 
 
 class TestRoundAssociation:
@@ -199,7 +283,7 @@ def round_association_from(table, y):
 
     x = y.sum(axis=(0, 1))
     alloc = Allocation(
-        x=x, y=y, rates=rates_from_allocation(table, x, y),
+        x=x, y=y, rates=rates_from_allocation(table, y),
         objective=0.0, fw_gap=0.0, iterations=0, converged=True,
     )
     return round_association(alloc, table)

@@ -12,6 +12,7 @@ from d2dreuse import (
 )
 from d2dreuse.cli import gen_scenario
 from d2dreuse.oracle import all_patterns
+from d2dreuse.patterns import Pattern, initial_set
 from d2dreuse.selection import round_association
 from d2dreuse.solver import _line_search, _phi, _phi_prime, _sparse_start, _vertex_rates
 
@@ -246,6 +247,14 @@ class TestSolveAllocation:
         gains = build_gains(sc)
         table = build_rate_table(sc, gains, all_patterns(sc.num_servers).members)
         alloc = solve_allocation(table)
+        assert alloc.converged
+        check_certificate(alloc)
+
+    def test_seventy_dues_converge_with_certificate(self):
+        # 71 servers: pattern masks wider than 64 bits
+        sc = gen_scenario(70, seed=5)
+        members = initial_set(1, 70).union([Pattern.unit(0, 71)]).members
+        alloc = solve_allocation(build_rate_table(sc, build_gains(sc), members))
         assert alloc.converged
         check_certificate(alloc)
 
