@@ -8,6 +8,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import numbers
 import sys
 from pathlib import Path
 
@@ -62,18 +63,6 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _load_scenario(config: dict) -> Scenario:
-    src = config["scenario"]
-    if isinstance(src, str):
-        return Scenario.load(src)
-    return gen_scenario(
-        num_due=int(src["dues"]),
-        seed=int(src["seed"]),
-        walls_random=int(src.get("walls_random", 0)),
-        num_bs=int(src.get("num_bs", 1)),
-    )
-
-
 def _config_section(config: dict, name: str, keys) -> dict:
     """The config's `name` section; a key outside `keys` is an error."""
     section = config.get(name, {})
@@ -85,17 +74,38 @@ def _config_section(config: dict, name: str, keys) -> dict:
     return section
 
 
-def _options_from_config(config: dict) -> tuple[SolverOptions, SelectionOptions]:
-    solver_keys = [f.name for f in dataclasses.fields(SolverOptions)]
-    solver = SolverOptions(**_config_section(config, "solver", solver_keys))
-    sel = _config_section(config, "selection", ("eps1", "eps2", "max_outer_iters"))
-    selection = SelectionOptions(
-        eps1=float(sel.get("eps1", 1e-4)),
-        eps2=float(sel.get("eps2", 1e-4)),
-        max_outer_iters=int(sel.get("max_outer_iters", 50)),
-        solver=solver,
+def _config_number(section: dict, name: str, key: str, kind: type, default=None):
+    """section[key] as kind (float or int), or default when absent; a missing
+    required key or a value that is not a JSON number of that kind is an error."""
+    if key not in section and default is None:
+        raise ValueError(f"config {name}.{key} is required")
+    value = section.get(key, default)
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not number or (kind is int and not float(value).is_integer()):
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"config {name}.{key} must be {what}, got {json.dumps(value, default=repr)}")
+    return kind(value)
+
+
+def _load_scenario(config: dict) -> Scenario:
+    if isinstance(config.get("scenario"), str):
+        return Scenario.load(config["scenario"])
+    src = _config_section(config, "scenario", ("dues", "seed", "walls_random", "num_bs"))
+    return gen_scenario(
+        num_due=_config_number(src, "scenario", "dues", int),
+        seed=_config_number(src, "scenario", "seed", int),
+        walls_random=_config_number(src, "scenario", "walls_random", int, 0),
+        num_bs=_config_number(src, "scenario", "num_bs", int, 1),
     )
-    return solver, selection
+
+
+def _options(cls, config: dict, name: str, **fixed):
+    """cls from the config's `name` section: each key names a field of cls
+    and is converted to the type of that field's default."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls) if f.name not in fixed}
+    section = _config_section(config, name, defaults)
+    values = {key: _config_number(section, name, key, type(defaults[key])) for key in section}
+    return cls(**values, **fixed)
 
 
 def run_experiment(config: dict, out_dir: Path, trace: bool = False) -> tuple[dict, list[str]]:
@@ -104,10 +114,10 @@ def run_experiment(config: dict, out_dir: Path, trace: bool = False) -> tuple[di
     Returns (per-method reports, names of methods that were infeasible).
     """
     scenario = _load_scenario(config)
-    solver_opts, selection_opts = _options_from_config(config)
+    solver_opts = _options(SolverOptions, config, "solver")
+    selection_opts = _options(SelectionOptions, config, "selection", solver=solver_opts)
     methods = config.get("methods", ["algo"])
-    bad = [m for m in methods if m not in METHODS]
-    if not methods or bad:
+    if not isinstance(methods, list) or not methods or any(m not in METHODS for m in methods):
         raise ValueError(f"methods must be a nonempty subset of {METHODS}, got {methods}")
     chash = config_hash(config)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -212,9 +222,14 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "run":
             config = json.loads(args.config.read_text())
+            if not isinstance(config, dict):
+                raise ValueError("config must be an object")
             if args.methods:
                 config["methods"] = [m.replace("-", "_") for m in args.methods.split(",")]
-            out_dir = args.out_dir or Path(config.get("output_dir", "out"))
+            output_dir = config.get("output_dir", "out")
+            if not isinstance(output_dir, str):
+                raise ValueError("config output_dir must be a string")
+            out_dir = args.out_dir or Path(output_dir)
             _, infeasible = run_experiment(config, out_dir, trace=args.trace)
             for m in infeasible:
                 print(f"method {m}: INFEASIBLE", file=sys.stderr)

@@ -177,11 +177,13 @@ def dbm_to_watts(p_dbm: float | np.ndarray) -> float | np.ndarray:
     return 10.0 ** (np.asarray(p_dbm, dtype=float) / 10.0) / 1000.0
 
 
-def path_loss_db(d_m: float, n_w: int = 0, params: PathLossParams = PathLossParams()) -> float:
-    """Distance- and wall-dependent attenuation in dB."""
-    if d_m <= 0:
+def path_loss_db(
+    d_m: float | np.ndarray, n_w: int | np.ndarray = 0, params: PathLossParams = PathLossParams()
+) -> float | np.ndarray:
+    """Distance- and wall-dependent attenuation in dB, elementwise on arrays."""
+    if np.any(np.asarray(d_m) <= 0):
         raise ValueError("distance must be positive")
-    if n_w < 0:
+    if np.any(np.asarray(n_w) < 0):
         raise ValueError("wall count must be nonnegative")
     return params.a * np.log10(d_m) + params.b + params.w_db * n_w
 
@@ -205,7 +207,7 @@ def build_gains(scenario: Scenario) -> GainMatrix:
             if d[ni, ui] < DISTANCE_FLOOR_M:
                 clamped.append((ni, ui))
     d = np.maximum(d, DISTANCE_FLOOR_M)
-    pl = scenario.pathloss.a * np.log10(d) + scenario.pathloss.b + scenario.pathloss.w_db * scenario.walls
+    pl = path_loss_db(d, scenario.walls, scenario.pathloss)
     g = 10.0 ** (-pl / 10.0)
     for ui in range(u):
         g[b + ui, ui] = 0.0

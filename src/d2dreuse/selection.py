@@ -217,7 +217,7 @@ def run(scenario: Scenario, options: SelectionOptions = SelectionOptions()) -> S
     alloc = solve_allocation(table, options.solver)
     trace = [alloc.objective]
     sizes = [len(current)]
-    flags = {"converged": False, "pattern_cap_hit": False, "augmented_initial_set": True, "stalled": False}
+    flags = {"converged": False, "pattern_cap_hit": False, "stalled": False}
 
     p_prev = -1.0
     p_cur = alloc.objective

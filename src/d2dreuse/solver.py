@@ -1,10 +1,14 @@
 """Proportional-fairness time allocation over a fixed pattern set.
 
 The concave program (maximize sum of log effective rates over the
-time-share polytope) is solved with away-step Frank-Wolfe.  The linear
-oracle decomposes exactly: pick one pattern, then for each server the
-user with the largest gradient entry, so every iterate is an explicit
-convex combination of (pattern, per-server user assignment) vertices.
+time-share polytope) is solved with Frank-Wolfe and a corrective Newton
+polish.  The linear oracle decomposes exactly: pick one pattern, then for
+each server the user with the largest gradient entry, so every iterate is
+an explicit convex combination of (pattern, per-server user assignment)
+vertices.  Each iteration steps toward the oracle vertex; every fifth one
+first re-optimizes the weights over the current vertices with Newton's
+method, which drops the vertices it drives to zero weight and so keeps
+the active set small.
 
 The start is sparse: an optimum needs only about U active patterns
 (Caratheodory), so the solve begins from the U+1 per-pattern greedy
@@ -45,6 +49,8 @@ class SolverOptions:
     def __post_init__(self) -> None:
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
+        if not self.max_iters >= 1:
+            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -152,17 +158,17 @@ def _vertex_rates(wc: np.ndarray, num_bs: int, patterns: np.ndarray, assign: np.
 
 
 _MAX_LINE_SEARCH_STEPS = 100  # bisection alone needs about 40 to reach the stop width
-_LINE_SEARCH_REL_WIDTH = 1e-12  # stop width relative to gamma_max
+_LINE_SEARCH_WIDTH = 1e-12  # stop width on gamma
 
 
-def _line_search(r_base: np.ndarray, d_r: np.ndarray, gamma_max: float, eps: float) -> float:
+def _line_search(r_base: np.ndarray, d_r: np.ndarray, eps: float) -> float:
     """Exact maximization of the surrogate along r_base + gamma * d_r.
 
     The surrogate is concave in gamma, so its derivative falls and has at
-    most one root in [0, gamma_max].  Newton's method on that derivative
-    finds the root; a step that leaves the current bracket of the root is
-    replaced by bisection.  Returns gamma_max when the derivative is still
-    nonnegative there, and 0 when it is already nonpositive at 0.
+    most one root in [0, 1].  Newton's method on that derivative finds the
+    root; a step that leaves the current bracket of the root is replaced
+    by bisection.  Returns 1 when the derivative is still nonnegative
+    there, and 0 when it is already nonpositive at 0.
     """
     d_sq = d_r * d_r
 
@@ -172,26 +178,25 @@ def _line_search(r_base: np.ndarray, d_r: np.ndarray, gamma_max: float, eps: flo
         curv = np.where(r >= eps, inv * inv, 0.0)
         return float(np.dot(d_r, inv)), -float(np.dot(d_sq, curv))
 
-    d1, _ = derivs(gamma_max)
+    d1, _ = derivs(1.0)
     if d1 >= 0.0:
-        return gamma_max
+        return 1.0
     g = 0.0
     d1, d2 = derivs(g)
     if d1 <= 0.0:
         return 0.0
-    lo, hi = 0.0, gamma_max
-    width = _LINE_SEARCH_REL_WIDTH * gamma_max
+    lo, hi = 0.0, 1.0
     for _ in range(_MAX_LINE_SEARCH_STEPS):
         if d2 < 0.0:
             step = -d1 / d2
-            if abs(step) <= width:
+            if abs(step) <= _LINE_SEARCH_WIDTH:
                 return min(max(g + step, lo), hi)
             g_new = g + step
         else:
             g_new = hi  # no curvature: bisect
         if not lo < g_new < hi:
             g_new = 0.5 * (lo + hi)
-        if abs(g_new - g) <= width:
+        if abs(g_new - g) <= _LINE_SEARCH_WIDTH:
             return g_new
         g = g_new
         d1, d2 = derivs(g)
@@ -201,7 +206,7 @@ def _line_search(r_base: np.ndarray, d_r: np.ndarray, gamma_max: float, eps: flo
             hi = g
         else:
             return g
-        if hi - lo <= width:
+        if hi - lo <= _LINE_SEARCH_WIDTH:
             break
     return g
 
@@ -234,22 +239,15 @@ class _ActiveSet:
         self.index[key] = n
         return n
 
-    def remove(self, idx: int) -> None:
-        last = len(self.keys) - 1
-        key = self.keys[idx]
-        del self.index[key]
-        if idx != last:
-            self.keys[idx] = self.keys[last]
-            self.index[self.keys[idx]] = idx
-            self.phi[idx] = self.phi[last]
-            self.w[idx] = self.w[last]
-        self.keys.pop()
-        self.w[last] = 0.0
-
     def prune(self, floor: float = 1e-16) -> None:
-        for idx in range(len(self.keys) - 1, -1, -1):
-            if self.w[idx] < floor:
-                self.remove(idx)
+        """Drop the vertices whose weight fell under floor, keeping order."""
+        n = len(self.keys)
+        keep = np.flatnonzero(self.w[:n] >= floor)
+        if len(keep) < n:
+            self.phi[: len(keep)] = self.phi[keep]
+            self.w[: len(keep)] = self.w[keep]
+            self.keys = [self.keys[k] for k in keep]
+            self.index = {key: k for k, key in enumerate(self.keys)}
 
     def normalize(self) -> None:
         n = len(self.keys)
@@ -397,10 +395,9 @@ def _fw_solve(
         min_r = float(r.min())
         inv = _phi_prime(r, eps)
         obj = float(_phi(r, eps).sum())
-        grad_dot_y = float(np.dot(inv, r))
 
         i_star, assign, score = _lmo(wc, inv, num_bs, allowed)
-        gap_fw = score - grad_dot_y
+        gap_fw = score - float(np.dot(inv, r))
 
         if gap_fw <= tol * max(abs(obj), 1.0):
             if min_r >= eps:
@@ -417,30 +414,12 @@ def _fw_solve(
                 eps = eps * 1e-3 if min_r <= 0 else min(eps * 1e-3, 0.25 * min_r)
                 continue
 
-        n_active = len(active)
-        vals = active.phi[:n_active] @ inv
-        a_idx = int(np.argmin(vals))
-        gap_away = grad_dot_y - float(vals[a_idx])
-
-        if gap_fw >= gap_away or active.w[a_idx] >= 1.0 - 1e-12:
-            # Frank-Wolfe step toward the oracle vertex
-            key = (i_star, assign)
-            s_idx = active.add(key, _vertex_rates(wc, num_bs, np.array([i_star]), np.array([assign]).T)[0])
-            d_r = active.phi[s_idx] - r
-            gamma = _line_search(r, d_r, 1.0, eps)
-            n_active = len(active)
-            active.w[:n_active] *= 1.0 - gamma
-            active.w[s_idx] += gamma
-        else:
-            # away step: shift weight off the worst active vertex
-            w_a = float(active.w[a_idx])
-            gamma_max = w_a / (1.0 - w_a)
-            d_r = r - active.phi[a_idx]
-            gamma = _line_search(r, d_r, gamma_max, eps)
-            active.w[:n_active] *= 1.0 + gamma
-            active.w[a_idx] -= gamma
-            if active.w[a_idx] < 1e-16:
-                active.remove(a_idx)
+        # Frank-Wolfe step toward the oracle vertex
+        phi_s = _vertex_rates(wc, num_bs, np.array([i_star]), np.array([assign]).T)[0]
+        s_idx = active.add((i_star, assign), phi_s)
+        gamma = _line_search(r, active.phi[s_idx] - r, eps)
+        active.w[: len(active)] *= 1.0 - gamma
+        active.w[s_idx] += gamma
         active.prune()
         active.normalize()
 

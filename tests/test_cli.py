@@ -151,6 +151,31 @@ class TestMain:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out" / "report_algo.json").exists()
 
+    @pytest.mark.parametrize("config, message", [
+        ({"solver": {"tolerance": "1e-6"}}, 'config solver.tolerance must be a number, got "1e-6"'),
+        ({"solver": {"max_iters": "10"}}, 'config solver.max_iters must be an integer, got "10"'),
+        ({"solver": {"max_iters": 2.5}}, "config solver.max_iters must be an integer, got 2.5"),
+        ({"solver": {"max_iters": 0}}, "max_iters must be at least 1"),
+        ({"solver": {"tolerance": True}}, "config solver.tolerance must be a number, got true"),
+        ({"selection": {"eps1": [1]}}, "config selection.eps1 must be a number, got [1]"),
+        ({"scenario": {"dues": 2}}, "config scenario.seed is required"),
+        ({"scenario": {"dues": 2, "seed": 1, "walls": 3}}, "unknown scenario option(s) in config: walls"),
+        ({"scenario": {"dues": "2", "seed": 1}}, 'config scenario.dues must be an integer, got "2"'),
+        ({"scenario": 5}, "config section scenario must be an object"),
+        ({"methods": "algo"}, "methods must be a nonempty subset of"),
+        ({"output_dir": 5}, "config output_dir must be a string"),
+        ([1, 2], "config must be an object"),
+    ])
+    def test_malformed_config_is_an_error(self, tmp_path, capsys, config, message):
+        if isinstance(config, dict):
+            config = {"scenario": {"dues": 2, "seed": 1}, "methods": ["algo"], **config}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+        assert not (tmp_path / "out" / "report_algo.json").exists()
+
     def test_usage_errors(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "missing.json")]) == 1
         assert main(["gen", "--dues", "0", "--seed", "1", "--out", str(tmp_path / "s.json")]) == 1

@@ -81,6 +81,18 @@ class TestPathLoss:
             assert path_loss_db(d + extra, 0) > path_loss_db(d, 0)
             assert path_loss_db(d, 3) > path_loss_db(d, 2)
 
+    def test_arrays_match_scalar_calls(self):
+        d = np.array([[1.0, 10.0, 37.5], [250.0, 2.0, 1.5]])
+        walls = np.array([[0, 2, 1], [4, 0, 3]])
+        pl = path_loss_db(d, walls)
+        assert pl.shape == d.shape
+        for idx in np.ndindex(d.shape):
+            assert pl[idx] == path_loss_db(float(d[idx]), int(walls[idx]))
+        with pytest.raises(ValueError):
+            path_loss_db(np.array([1.0, 0.0]))
+        with pytest.raises(ValueError):
+            path_loss_db(d, -walls)
+
 
 class TestGains:
     def test_bs_gain_at_ten_meters(self):
