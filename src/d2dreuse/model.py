@@ -18,6 +18,7 @@ from .patterns import Pattern
 
 DISTANCE_FLOOR_M = 1.0
 EFFICIENCY_FLOOR = 1e-12  # bits/s/Hz below this are treated as zero
+_BLOCK_ENTRIES = 1 << 16  # (pattern, server, user) entries per efficiency block
 
 
 @dataclass(frozen=True)
@@ -27,6 +28,30 @@ class PathLossParams:
     a: float = 37.6
     b: float = 35.3
     w_db: float = 5.0
+
+
+_FIELD_KINDS = {int: ("iu", "an integer", "integers"), float: ("iuf", "a number", "numbers")}
+
+
+def _field(d: dict, key: str, kind: type, default=None, prefix: str = "", array: bool = False) -> np.ndarray:
+    """d[key] as a numpy scalar, or array, of JSON integers (kind int) or
+    numbers (kind float); default when the key is absent and default is
+    given.  A missing key or a value of another type is a ValueError
+    naming the key."""
+    name = f"scenario {prefix}{key}"
+    if key not in d:
+        if default is None:
+            raise ValueError(f"{name} is required")
+        return np.asarray(default)
+    dtype_kinds, one, many = _FIELD_KINDS[kind]
+    try:
+        value = np.asarray(d[key])
+    except ValueError:  # ragged nesting
+        value = np.asarray(None)
+    if value.dtype.kind not in dtype_kinds or (value.ndim > 0) != array:
+        what = f"an array of {many}" if array else one
+        raise ValueError(f"{name} must be {what}, got {json.dumps(d[key], default=repr)[:60]}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -96,19 +121,26 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
+        """Inverse of to_dict; a missing key or a value of the wrong type is
+        a ValueError naming the key."""
+        if not isinstance(d, dict):
+            raise ValueError("scenario must be an object")
         pl = d.get("pathloss", {})
+        if not isinstance(pl, dict):
+            raise ValueError("scenario pathloss must be an object")
+        default_pl = PathLossParams()
         return cls(
-            num_bs=int(d["num_bs"]),
-            num_due=int(d["num_due"]),
-            positions=np.asarray(d["positions_m"], dtype=float),
-            tx_power_dbm=np.asarray(d["tx_power_dbm"], dtype=float),
-            bandwidth_hz=float(d.get("bandwidth_hz", 2.0e7)),
-            noise_psd_dbm_hz=float(d.get("noise_psd_dbm_hz", -174.0)),
+            num_bs=int(_field(d, "num_bs", int)),
+            num_due=int(_field(d, "num_due", int)),
+            positions=_field(d, "positions_m", float, array=True).astype(float),
+            tx_power_dbm=_field(d, "tx_power_dbm", float, array=True).astype(float),
+            bandwidth_hz=float(_field(d, "bandwidth_hz", float, 2.0e7)),
+            noise_psd_dbm_hz=float(_field(d, "noise_psd_dbm_hz", float, -174.0)),
             pathloss=PathLossParams(
-                a=float(pl.get("a", 37.6)), b=float(pl.get("b", 35.3)), w_db=float(pl.get("w_db", 5.0))
+                **{k: float(_field(pl, k, float, getattr(default_pl, k), "pathloss.")) for k in ("a", "b", "w_db")}
             ),
-            walls=np.asarray(d["walls"], dtype=int) if d.get("walls") is not None else None,
-            seed=d.get("seed"),
+            walls=None if d.get("walls") is None else _field(d, "walls", int, array=True),
+            seed=None if d.get("seed") is None else int(_field(d, "seed", int)),
         )
 
     def save(self, path: str | Path) -> None:
@@ -199,46 +231,66 @@ def build_gains(scenario: Scenario) -> GainMatrix:
     rx = scenario.positions[b:]  # user u receives at node B+u
     tx = scenario.positions
     d = np.linalg.norm(tx[:, None, :] - rx[None, :, :], axis=2)
-    clamped = []
-    for ni in range(n):
-        for ui in range(u):
-            if ni == b + ui:
-                continue
-            if d[ni, ui] < DISTANCE_FLOOR_M:
-                clamped.append((ni, ui))
+    own = (b + np.arange(u), np.arange(u))  # self-links g[B+u, u]
+    near = d < DISTANCE_FLOOR_M
+    near[own] = False
+    clamped = tuple(map(tuple, np.argwhere(near).tolist()))  # row-major: (n, u) order
     d = np.maximum(d, DISTANCE_FLOOR_M)
     pl = path_loss_db(d, scenario.walls, scenario.pathloss)
     g = 10.0 ** (-pl / 10.0)
-    for ui in range(u):
-        g[b + ui, ui] = 0.0
+    g[own] = 0.0
     noise_dbm = scenario.noise_psd_dbm_hz + 10.0 * np.log10(scenario.bandwidth_hz)
-    return GainMatrix(g=g, noise_power_w=float(dbm_to_watts(noise_dbm)), clamped_links=tuple(clamped))
+    return GainMatrix(g=g, noise_power_w=float(dbm_to_watts(noise_dbm)), clamped_links=clamped)
 
 
-def pattern_efficiencies(scenario: Scenario, gains: GainMatrix, pattern: Pattern) -> np.ndarray:
-    """Efficiency slice c[u, n] for a single pattern, vectorized."""
-    b = scenario.num_bs
-    powers = scenario.powers_w()
-    active = pattern.bits().astype(float)  # (N,)
-    rx = powers[:, None] * gains.g * active[:, None]  # (N, U) received power per link
-    total = rx.sum(axis=0)  # (U,)
-    denom = gains.noise_power_w + (total[None, :] - rx)
-    snr = np.where(active[:, None] > 0, rx / denom, 0.0)
-    c = np.log2(1.0 + snr).T  # (U, N)
-    silenced = active[b:] > 0  # user transmitting as relay cannot receive
-    c[silenced, :] = 0.0
-    c[c < EFFICIENCY_FLOOR] = 0.0
-    return c
+def pattern_efficiencies(scenario: Scenario, gains: GainMatrix, patterns: Sequence[Pattern]) -> np.ndarray:
+    """Efficiency tensor c[u, n, k] of K patterns, built in blocks of patterns.
+
+    Each block's SINR is formed in place in a (k, N, U) buffer, so the
+    temporaries never outgrow one block, and is copied into the (U, N, K)
+    output.  A user whose own relay transmits cannot receive, and
+    efficiencies below EFFICIENCY_FLOOR are zero.
+    """
+    b, n, u = scenario.num_bs, scenario.num_servers, scenario.num_due
+    pats = tuple(patterns)
+    if any(p.n_servers != n for p in pats):
+        raise ValueError(f"patterns must have {n} servers")
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(p.mask.to_bytes(width, "little") for p in pats), dtype=np.uint8)
+    on = np.unpackbits(packed.reshape(len(pats), width), axis=1, count=n, bitorder="little").astype(bool)
+    pg = scenario.powers_w()[:, None] * gains.g  # (N, U) received power of a server that is on
+    # Server-major storage: the summation order of every later reduction
+    # over the table follows its memory layout.
+    out = np.empty((n, u, len(pats)))
+    step = max(1, _BLOCK_ENTRIES // (n * u))
+    rx = np.empty((min(step, len(pats)), n, u))
+    den = np.empty_like(rx)
+    for k0 in range(0, len(pats), step):
+        blk = on[k0 : k0 + step]
+        k = len(blk)
+        r, d = rx[:k], den[:k]
+        np.multiply(pg, blk[:, :, None].astype(float), out=r)
+        # servers are summed in index order, per user, as in a one-pattern sum
+        np.subtract(r.sum(axis=1)[:, None, :], r, out=d)  # interference
+        d += gains.noise_power_w
+        np.divide(r, d, out=d)  # SINR; zero where the server is off
+        d += 1.0
+        np.log2(d, out=d)
+        d.transpose(0, 2, 1)[blk[:, b:]] = 0.0  # user transmitting as relay cannot receive
+        np.putmask(d, d < EFFICIENCY_FLOOR, 0.0)
+        out[:, :, k0 : k0 + k] = d.transpose(1, 2, 0)
+    return out.transpose(1, 0, 2)
 
 
 def build_rate_table(scenario: Scenario, gains: GainMatrix, patterns: Sequence[Pattern]) -> RateTable:
-    """Efficiency tensor over a duplicate-free pattern list."""
+    """Efficiency tensor over a duplicate-free pattern list, from one
+    blocked pattern_efficiencies call."""
     pats = tuple(patterns)
     if not pats:
         raise ValueError("pattern list must be nonempty")
     if len({p.mask for p in pats}) != len(pats):
         raise ValueError("duplicate patterns")
-    c = np.stack([pattern_efficiencies(scenario, gains, p) for p in pats], axis=2)
+    c = pattern_efficiencies(scenario, gains, pats)
     return RateTable(patterns=pats, c=c, bandwidth_hz=scenario.bandwidth_hz, num_bs=scenario.num_bs)
 
 

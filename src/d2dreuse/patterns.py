@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -23,6 +24,8 @@ class Pattern:
     def __post_init__(self) -> None:
         if self.n_servers < 1:
             raise ValueError(f"n_servers must be positive, got {self.n_servers}")
+        if type(self.mask) is not int:  # e.g. a numpy integer; tables read masks with int.to_bytes
+            object.__setattr__(self, "mask", operator.index(self.mask))
         if not 0 < self.mask < (1 << self.n_servers):
             raise ValueError(f"pattern mask {self.mask:#x} out of range for {self.n_servers} servers")
 

@@ -134,9 +134,7 @@ def round_association(allocation: Allocation, rate_table: RateTable) -> np.ndarr
     best = prod.argmax(axis=1)  # (U, I); argmax ties resolve to the lowest index
     z = np.zeros_like(prod, dtype=int)
     num_users, _, num_patterns = prod.shape
-    for u in range(num_users):
-        for i in range(num_patterns):
-            z[u, best[u, i], i] = 1
+    z[np.arange(num_users)[:, None], best, np.arange(num_patterns)] = 1
     return z
 
 

@@ -176,6 +176,18 @@ class TestMain:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
         assert not (tmp_path / "out" / "report_algo.json").exists()
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"num_bs": 1}, "scenario num_due is required"),
+        ({**gen_scenario(2, seed=1).to_dict(), "num_due": "2"}, 'scenario num_due must be an integer, got "2"'),
+    ])
+    def test_malformed_scenario_file_is_an_error(self, tmp_path, capsys, doc, message):
+        (tmp_path / "scenario.json").write_text(json.dumps(doc))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"scenario": str(tmp_path / "scenario.json"), "methods": ["algo"]}))
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_usage_errors(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "missing.json")]) == 1
         assert main(["gen", "--dues", "0", "--seed", "1", "--out", str(tmp_path / "s.json")]) == 1

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,9 +15,11 @@ from d2dreuse import (
     path_loss_db,
     rates_from_allocation,
 )
+from d2dreuse import model
 from d2dreuse.cli import gen_scenario
 from d2dreuse.model import EFFICIENCY_FLOOR, GainMatrix, pattern_efficiencies
 from d2dreuse.oracle import all_patterns
+from d2dreuse.patterns import flip_neighborhood, initial_set
 
 
 def sinr(u: int, n: int, pattern: Pattern, gains: GainMatrix, powers_w: np.ndarray) -> float:
@@ -118,6 +123,19 @@ class TestGains:
         assert (0, 0) in g.clamped_links
         assert np.isfinite(g.g).all()
 
+    def test_clamped_links_in_server_then_user_order(self):
+        # DUEs 1, 2 and 4 share a spot 0.5 m from the BS; DUE 3 is far away
+        sc = simple_scenario(num_due=4, due_offsets=((0.5, 0.0), (0.5, 0.0), (30.0, 0.0), (0.3, 0.4)))
+        d = np.linalg.norm(sc.positions[:, None, :] - sc.positions[None, sc.num_bs :, :], axis=2)
+        loop = [
+            (n, u)
+            for n in range(sc.num_servers)
+            for u in range(sc.num_due)
+            if n != sc.num_bs + u and d[n, u] < 1.0
+        ]
+        assert len(loop) == 9
+        assert build_gains(sc).clamped_links == tuple(loop)
+
 
 class TestSinr:
     def setup_method(self):
@@ -187,19 +205,65 @@ class TestPatternEfficiencies:
         sc = gen_scenario(4, seed=6, walls_random=4)
         gains = build_gains(sc)
         powers = sc.powers_w()
+        pats = all_patterns(sc.num_servers).members
+        c = pattern_efficiencies(sc, gains, pats)
+        assert c.shape == (sc.num_due, sc.num_servers, len(pats))
         worst, checked = 0.0, 0
-        for p in all_patterns(sc.num_servers):
-            c = pattern_efficiencies(sc, gains, p)
+        for i, p in enumerate(pats):
             for u in range(sc.num_due):
                 for n in range(sc.num_servers):
                     ref = spectral_efficiency(u, n, p, gains, powers, sc.num_bs)
-                    err = abs(c[u, n] - ref)
-                    assert err <= 1e-12 * abs(ref), (p.bitstring(), u, n, c[u, n], ref)
+                    err = abs(c[u, n, i] - ref)
+                    assert err <= 1e-12 * abs(ref), (p.bitstring(), u, n, c[u, n, i], ref)
                     if ref:
                         worst = max(worst, err / ref)
                     checked += 1
         assert checked == 31 * 4 * 5
         print(f"pattern_efficiencies: {checked} entries, worst relative error {worst:.2e}")
+
+    @pytest.mark.parametrize("num_due, num_patterns", [(8, 511), (70, 100), (70, 1)])
+    def test_blocks_equal_single_pattern_columns(self, num_due, num_patterns):
+        # U = 8 fits 511 patterns in one partial block; at U = 70 (N = 71 > 64)
+        # 100 patterns are several blocks and a remainder
+        sc = gen_scenario(num_due, seed=5, walls_random=4)
+        gains = build_gains(sc)
+        n = sc.num_servers
+        rng = np.random.default_rng(num_due)
+        masks = {1 | 1 << (n - 1)}  # the BS and the last relay, bit 70 at U = 70
+        if num_patterns > 1:
+            masks.add((1 << n) - 1)  # every server on
+        while len(masks) < num_patterns:
+            masks.add(int.from_bytes(rng.bytes((n + 7) // 8), "little") % (1 << n) or 1)
+        pats = [Pattern(m, n) for m in sorted(masks)]
+        step = max(1, model._BLOCK_ENTRIES // (n * sc.num_due))
+        assert num_patterns == 1 or num_patterns % step
+        c = pattern_efficiencies(sc, gains, pats)
+        assert c.shape == (sc.num_due, n, num_patterns)
+        for k, p in enumerate(pats):
+            assert np.array_equal(c[:, :, k], pattern_efficiencies(sc, gains, [p])[:, :, 0]), k
+        powers = sc.powers_w()
+        for k, p in enumerate(pats[:3]):
+            on = p.bits().astype(bool)
+            assert not c[:, ~on, k].any()
+            assert not c[on[sc.num_bs :], :, k].any()
+            for u, srv in zip(rng.integers(sc.num_due, size=20).tolist(), rng.integers(n, size=20).tolist()):
+                ref = spectral_efficiency(u, srv, p, gains, powers, sc.num_bs)
+                assert abs(c[u, srv, k] - ref) <= 1e-12 * abs(ref)
+
+    def test_peak_memory_is_about_the_output(self):
+        sc = gen_scenario(40, seed=92)
+        gains = build_gains(sc)
+        start = initial_set(sc.num_bs, sc.num_due)
+        cands = start.union(p for n in range(sc.num_servers) for p in flip_neighborhood(start, n)).members
+        step = max(1, model._BLOCK_ENTRIES // (sc.num_servers * sc.num_due))
+        assert len(cands) >= 10 * step
+        tracemalloc.start()
+        try:
+            c = pattern_efficiencies(sc, gains, cands)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * c.nbytes, (peak, c.nbytes)
 
 
 class TestRateTable:
@@ -230,6 +294,11 @@ class TestRateTable:
         t2 = build_rate_table(self.sc, self.gains, pats[::-1])
         assert np.array_equal(t1.c[:, :, 0], t2.c[:, :, 2])
         assert np.array_equal(t1.c[:, :, 1], t2.c[:, :, 1])
+
+    def test_numpy_integer_masks_give_the_same_table(self):
+        pats = [Pattern(m, 3) for m in (1, 3, 5)]
+        table = build_rate_table(self.sc, self.gains, [Pattern(np.int64(p.mask), 3) for p in pats])
+        assert np.array_equal(table.c, build_rate_table(self.sc, self.gains, pats).c)
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
@@ -304,3 +373,14 @@ class TestScenarioSerialization:
             Scenario(1, 1, np.zeros((2, 2)), np.zeros(2), bandwidth_hz=0.0)
         with pytest.raises(ValueError):
             Scenario(1, 1, np.zeros((2, 2)), np.zeros(2), walls=np.array([[-1], [0]]))
+
+    @pytest.mark.parametrize("change, message", [
+        ({"positions_m": [[0.0, 0.0], [1.0]]}, "scenario positions_m must be an array of numbers"),
+        ({"walls": [[0, 1.5], [2, 0], [0, 0]]}, "scenario walls must be an array of integers"),
+        ({"pathloss": {"a": True}}, "scenario pathloss.a must be a number, got true"),
+        ({"seed": [1]}, "scenario seed must be an integer, got [1]"),
+    ])
+    def test_from_dict_names_the_bad_key(self, change, message):
+        doc = {**simple_scenario().to_dict(), **change}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Scenario.from_dict(doc)

@@ -71,7 +71,7 @@ class TestGradient:
 def old_best_entries(cand, scenario, gains, rates):
     """Reference: per-server best entries of the per-candidate score that
     the table scoring replaced; the score is their sum."""
-    c = pattern_efficiencies(scenario, gains, cand)  # (U, N)
+    c = pattern_efficiencies(scenario, gains, [cand])[:, :, 0]  # (U, N)
     inv = 1.0 / rates.r_eff
     coef = inv[:, None] - np.concatenate([np.zeros(scenario.num_bs), inv])[None, :]
     p = scenario.bandwidth_hz * c * coef
@@ -250,6 +250,18 @@ class TestRoundAssociation:
         z = round_association(alloc, table)
         assert np.all(z.sum(axis=1) == 1)
 
+    def test_matches_loop_reference(self):
+        sc = gen_scenario(6, seed=4, walls_random=4)
+        gains = build_gains(sc)
+        brute = build_rate_table(sc, gains, all_patterns(sc.num_servers).members)
+        blocked = blocked_scenario(6, seed=3)
+        rep = run(blocked)
+        final = build_rate_table(blocked, build_gains(blocked), rep.final_patterns.members)
+        assert np.array_equal(round_association(rep.relaxed_allocation, final), rep.associations)
+        for table, alloc in ((brute, solve_allocation(brute)), (final, rep.relaxed_allocation)):
+            z = round_association(alloc, table)
+            assert np.array_equal(z, loop_round_association(alloc, table))
+
 
 class TestFinalizeOnSet:
     def test_reused_relaxed_solve_equals_a_fresh_one(self):
@@ -275,6 +287,17 @@ class TestFinalizeOnSet:
         other = build_rate_table(sc, gains, pattern_set.members[::-1])
         with pytest.raises(ValueError):
             finalize_on_set(sc, gains, pattern_set, SolverOptions(), (other, solve_allocation(other)))
+
+
+def loop_round_association(alloc, table):
+    """Reference: the per-(user, pattern) loop that round_association replaced."""
+    prod = alloc.y * table.c
+    best = prod.argmax(axis=1)
+    z = np.zeros_like(prod, dtype=int)
+    for u in range(prod.shape[0]):
+        for i in range(prod.shape[2]):
+            z[u, best[u, i], i] = 1
+    return z
 
 
 def round_association_from(table, y):
