@@ -36,21 +36,18 @@ def metrics(rates: Rates) -> dict:
     return {"gm_mbps": float(np.exp(logs.mean()) / 1e6), "pf": float(logs.sum())}
 
 
-def gen_scenario(num_due: int, seed: int, walls_random: int = 0, num_bs: int = 1) -> Scenario:
+def gen_scenario(num_due: int, seed: int, walls_random: int = 0) -> Scenario:
     """Deterministic random drop: BS at the square's center, DUEs uniform."""
     if num_due < 1:
         raise ValueError("need at least one DUE")
     rng = np.random.default_rng(seed)
     due_pos = rng.uniform(0.0, AREA_M, size=(num_due, 2))
-    bs_pos = np.tile([AREA_M / 2.0, AREA_M / 2.0], (num_bs, 1))
-    positions = np.vstack([bs_pos, due_pos])
-    n = num_bs + num_due
-    powers = np.concatenate([np.full(num_bs, BS_POWER_DBM), np.full(num_due, DUE_POWER_DBM)])
+    positions = np.vstack([[AREA_M / 2.0, AREA_M / 2.0], due_pos])
+    powers = np.concatenate([[BS_POWER_DBM], np.full(num_due, DUE_POWER_DBM)])
     walls = None
     if walls_random > 0:
-        walls = rng.integers(0, walls_random + 1, size=(n, num_due))
+        walls = rng.integers(0, walls_random + 1, size=(1 + num_due, num_due))
     return Scenario(
-        num_bs=num_bs,
         num_due=num_due,
         positions=positions,
         tx_power_dbm=powers,
@@ -90,12 +87,11 @@ def _config_number(section: dict, name: str, key: str, kind: type, default=None)
 def _load_scenario(config: dict) -> Scenario:
     if isinstance(config.get("scenario"), str):
         return Scenario.load(config["scenario"])
-    src = _config_section(config, "scenario", ("dues", "seed", "walls_random", "num_bs"))
+    src = _config_section(config, "scenario", ("dues", "seed", "walls_random"))
     return gen_scenario(
         num_due=_config_number(src, "scenario", "dues", int),
         seed=_config_number(src, "scenario", "seed", int),
         walls_random=_config_number(src, "scenario", "walls_random", int, 0),
-        num_bs=_config_number(src, "scenario", "num_bs", int, 1),
     )
 
 

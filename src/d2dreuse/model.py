@@ -1,8 +1,8 @@
 """Physical network model: geometry, path loss, link efficiencies, and rate
 bookkeeping.
 
-Servers are indexed 0..N-1 with the B base stations first and the U
-potential D2D relays after them; user u receives through node B+u.
+One cell: server 0 is the base station and server 1+u is the D2D relay
+of user u, so N = 1 + U.  User u receives at node 1+u.
 """
 
 from __future__ import annotations
@@ -58,11 +58,10 @@ def _field(d: dict, key: str, kind: type, default=None, prefix: str = "", array:
 class Scenario:
     """Static downlink network description.
 
-    positions holds all B+U node coordinates in meters (BSs first);
+    positions holds all 1+U node coordinates in meters (the BS first);
     walls[n, u] is the wall count on the link from server n to user u.
     """
 
-    num_bs: int
     num_due: int
     positions: np.ndarray
     tx_power_dbm: np.ndarray
@@ -73,8 +72,8 @@ class Scenario:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.num_bs < 1 or self.num_due < 1:
-            raise ValueError("need at least one BS and one DUE")
+        if self.num_due < 1:
+            raise ValueError("need at least one DUE")
         n = self.num_servers
         pos = np.asarray(self.positions, dtype=float)
         if pos.shape != (n, 2):
@@ -101,14 +100,13 @@ class Scenario:
 
     @property
     def num_servers(self) -> int:
-        return self.num_bs + self.num_due
+        return 1 + self.num_due
 
     def powers_w(self) -> np.ndarray:
         return dbm_to_watts(self.tx_power_dbm)
 
     def to_dict(self) -> dict:
         return {
-            "num_bs": self.num_bs,
             "num_due": self.num_due,
             "positions_m": self.positions.tolist(),
             "tx_power_dbm": self.tx_power_dbm.tolist(),
@@ -122,15 +120,17 @@ class Scenario:
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
         """Inverse of to_dict; a missing key or a value of the wrong type is
-        a ValueError naming the key."""
+        a ValueError naming the key.  The BS count that earlier versions
+        wrote is accepted only as 1."""
         if not isinstance(d, dict):
             raise ValueError("scenario must be an object")
         pl = d.get("pathloss", {})
         if not isinstance(pl, dict):
             raise ValueError("scenario pathloss must be an object")
+        if int(_field(d, "num_bs", int, 1)) != 1:
+            raise ValueError(f"scenario num_bs must be 1, got {json.dumps(d['num_bs'])}")
         default_pl = PathLossParams()
         return cls(
-            num_bs=int(_field(d, "num_bs", int)),
             num_due=int(_field(d, "num_due", int)),
             positions=_field(d, "positions_m", float, array=True).astype(float),
             tx_power_dbm=_field(d, "tx_power_dbm", float, array=True).astype(float),
@@ -176,12 +176,16 @@ class RateTable:
     patterns: tuple[Pattern, ...]
     c: np.ndarray
     bandwidth_hz: float
-    num_bs: int
 
     def __post_init__(self) -> None:
         c = np.asarray(self.c, dtype=float)
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
+
+    @property
+    def num_bs(self) -> int:
+        """Always 1: the model has one BS, server 0."""
+        return 1
 
     @property
     def num_users(self) -> int:
@@ -224,14 +228,13 @@ def build_gains(scenario: Scenario) -> GainMatrix:
     """Average channel gains for every server-to-user link.
 
     Distances below the 1 m floor are clamped (and reported); the
-    self-link g[B+u, u] is forced to zero since a DUE never serves itself.
+    self-link g[1+u, u] is forced to zero since a DUE never serves itself.
     """
-    b = scenario.num_bs
-    n, u = scenario.num_servers, scenario.num_due
-    rx = scenario.positions[b:]  # user u receives at node B+u
+    u = scenario.num_due
+    rx = scenario.positions[1:]  # user u receives at node 1+u
     tx = scenario.positions
     d = np.linalg.norm(tx[:, None, :] - rx[None, :, :], axis=2)
-    own = (b + np.arange(u), np.arange(u))  # self-links g[B+u, u]
+    own = (1 + np.arange(u), np.arange(u))  # self-links g[1+u, u]
     near = d < DISTANCE_FLOOR_M
     near[own] = False
     clamped = tuple(map(tuple, np.argwhere(near).tolist()))  # row-major: (n, u) order
@@ -251,7 +254,7 @@ def pattern_efficiencies(scenario: Scenario, gains: GainMatrix, patterns: Sequen
     output.  A user whose own relay transmits cannot receive, and
     efficiencies below EFFICIENCY_FLOOR are zero.
     """
-    b, n, u = scenario.num_bs, scenario.num_servers, scenario.num_due
+    n, u = scenario.num_servers, scenario.num_due
     pats = tuple(patterns)
     if any(p.n_servers != n for p in pats):
         raise ValueError(f"patterns must have {n} servers")
@@ -276,7 +279,7 @@ def pattern_efficiencies(scenario: Scenario, gains: GainMatrix, patterns: Sequen
         np.divide(r, d, out=d)  # SINR; zero where the server is off
         d += 1.0
         np.log2(d, out=d)
-        d.transpose(0, 2, 1)[blk[:, b:]] = 0.0  # user transmitting as relay cannot receive
+        d.transpose(0, 2, 1)[blk[:, 1:]] = 0.0  # user transmitting as relay cannot receive
         np.putmask(d, d < EFFICIENCY_FLOOR, 0.0)
         out[:, :, k0 : k0 + k] = d.transpose(1, 2, 0)
     return out.transpose(1, 0, 2)
@@ -291,7 +294,7 @@ def build_rate_table(scenario: Scenario, gains: GainMatrix, patterns: Sequence[P
     if len({p.mask for p in pats}) != len(pats):
         raise ValueError("duplicate patterns")
     c = pattern_efficiencies(scenario, gains, pats)
-    return RateTable(patterns=pats, c=c, bandwidth_hz=scenario.bandwidth_hz, num_bs=scenario.num_bs)
+    return RateTable(patterns=pats, c=c, bandwidth_hz=scenario.bandwidth_hz)
 
 
 def rates_from_allocation(rate_table: RateTable, y: np.ndarray) -> Rates:
@@ -301,5 +304,5 @@ def rates_from_allocation(rate_table: RateTable, y: np.ndarray) -> Rates:
     contrib = y * rate_table.c  # (U, N, I)
     r_bar = w * contrib.sum(axis=(1, 2))
     r_tilde = w * contrib.sum(axis=(0, 2))
-    r_eff = r_bar - r_tilde[rate_table.num_bs :]
+    r_eff = r_bar - r_tilde[1:]
     return Rates(r_bar=r_bar, r_tilde=r_tilde, r_eff=r_eff)

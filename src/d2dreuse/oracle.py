@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from .model import RateTable, Scenario, build_gains, build_rate_table
-from .patterns import Pattern, PatternSet
+from .patterns import Pattern, PatternSet, initial_set
 from .selection import SolveReport, finalize_on_set, make_report, round_association
 from .solver import Allocation, SolverOptions, solve_allocation
 
@@ -56,7 +56,6 @@ def effective_rate_columns(allocation: Allocation, rate_table: RateTable) -> tup
     """
     support = np.flatnonzero(allocation.x > 0)
     num_users = rate_table.num_users
-    num_bs = rate_table.num_bs
     w = rate_table.bandwidth_hz
     cols = np.zeros((num_users, len(support)))
     for k, i in enumerate(support):
@@ -64,7 +63,7 @@ def effective_rate_columns(allocation: Allocation, rate_table: RateTable) -> tup
         per_link = w * tau * rate_table.c[:, :, i]
         r_bar = per_link.sum(axis=1)
         r_tilde = per_link.sum(axis=0)  # (N,)
-        cols[:, k] = (r_bar - r_tilde[num_bs:]) / 1e6
+        cols[:, k] = (r_bar - r_tilde[1:]) / 1e6
     return cols, support
 
 
@@ -150,14 +149,11 @@ def _fixed_set_report(
 def orthogonal_baseline(scenario: Scenario, solver_options: SolverOptions = SolverOptions()) -> SolveReport:
     """BS plus exactly one relay active at a time; no pattern selection."""
     t0 = time.perf_counter()
-    n = scenario.num_servers
-    members = tuple(Pattern.from_active([0, scenario.num_bs + u], n) for u in range(scenario.num_due))
-    return _fixed_set_report("orthogonal", scenario, PatternSet(members), solver_options, t0)
+    return _fixed_set_report("orthogonal", scenario, initial_set(scenario.num_due), solver_options, t0)
 
 
 def bs_only_baseline(scenario: Scenario, solver_options: SolverOptions = SolverOptions()) -> SolveReport:
-    """No relaying: each BS transmits alone and time-shares its users."""
+    """No relaying: the BS transmits alone and time-shares its users."""
     t0 = time.perf_counter()
-    n = scenario.num_servers
-    members = tuple(Pattern.unit(b, n) for b in range(scenario.num_bs))
-    return _fixed_set_report("bs_only", scenario, PatternSet(members), solver_options, t0)
+    pattern_set = PatternSet((Pattern.unit(0, scenario.num_servers),))
+    return _fixed_set_report("bs_only", scenario, pattern_set, solver_options, t0)

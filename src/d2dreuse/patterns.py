@@ -34,7 +34,7 @@ class Pattern:
         return tuple(n for n in range(self.n_servers) if (self.mask >> n) & 1)
 
     def is_active(self, n: int) -> bool:
-        return bool((self.mask >> n) & 1)
+        return bool((self.mask >> operator.index(n)) & 1)
 
     def bits(self) -> np.ndarray:
         return np.array([(self.mask >> n) & 1 for n in range(self.n_servers)], dtype=np.int8)
@@ -43,7 +43,7 @@ class Pattern:
         """Toggle server n; raises if the result would be the all-zero pattern."""
         if not 0 <= n < self.n_servers:
             raise ValueError(f"server index {n} out of range")
-        return Pattern(self.mask ^ (1 << n), self.n_servers)
+        return Pattern(self.mask ^ (1 << operator.index(n)), self.n_servers)
 
     def bitstring(self) -> str:
         """Render with server 1 leftmost, as in schedule tables."""
@@ -61,14 +61,15 @@ class Pattern:
 
     @classmethod
     def from_active(cls, active: Iterable[int], n_servers: int) -> "Pattern":
+        # operator.index: a numpy integer would shift in int64 and lose bits >= 64
         mask = 0
         for n in active:
-            mask |= 1 << n
+            mask |= 1 << operator.index(n)
         return cls(mask, n_servers)
 
     @classmethod
     def unit(cls, n: int, n_servers: int) -> "Pattern":
-        return cls(1 << n, n_servers)
+        return cls(1 << operator.index(n), n_servers)
 
 
 @dataclass(frozen=True)
@@ -110,21 +111,13 @@ class PatternSet:
         return PatternSet(tuple(out))
 
 
-def initial_set(num_bs: int, num_due: int) -> PatternSet:
-    """Starting candidate set: BS 1 paired with each potential relay.
-
-    For a single BS this is exactly the U patterns {e_1 + e_{1+u}}.  With
-    several BSs we additionally seed each BS-only singleton so every cell
-    has a serving pattern from the start.
-    """
-    if num_bs < 1 or num_due < 1:
-        raise ValueError("need at least one BS and one DUE")
-    n = num_bs + num_due
-    members: list[Pattern] = []
-    if num_bs > 1:
-        members.extend(Pattern.unit(b, n) for b in range(num_bs))
-    members.extend(Pattern.from_active([0, num_bs + u], n) for u in range(num_due))
-    return PatternSet(tuple(members))
+def initial_set(num_due: int) -> PatternSet:
+    """Starting candidate set: the U patterns {e_0 + e_{1+u}}, the BS
+    paired with each potential relay."""
+    if num_due < 1:
+        raise ValueError("need at least one DUE")
+    n = 1 + num_due
+    return PatternSet(tuple(Pattern.from_active([0, 1 + u], n) for u in range(num_due)))
 
 
 def hamming(a: Pattern, b: Pattern) -> int:
@@ -140,7 +133,7 @@ def flip_neighborhood(pattern_set: PatternSet, n: int) -> list[Pattern]:
     Members equal to the singleton e_n are skipped (their flip would be the
     all-zero pattern).  Output is deduplicated, in first-occurrence order.
     """
-    unit_mask = 1 << n
+    unit_mask = 1 << operator.index(n)
     out: list[Pattern] = []
     seen: set[int] = set()
     for p in pattern_set:

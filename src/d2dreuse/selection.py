@@ -71,7 +71,7 @@ class SolveReport:
 def _linearize(rate_table: RateTable, rates: Rates) -> tuple[np.ndarray, np.ndarray]:
     if np.any(rates.r_eff <= 0):
         raise ValueError("scoring requires strictly positive effective rates")
-    return pattern_scores(rate_table.bandwidth_hz * rate_table.c, 1.0 / rates.r_eff, rate_table.num_bs)
+    return pattern_scores(rate_table.bandwidth_hz * rate_table.c, 1.0 / rates.r_eff)
 
 
 def gradient(rate_table: RateTable, rates: Rates) -> np.ndarray:
@@ -207,9 +207,9 @@ def run(scenario: Scenario, options: SelectionOptions = SelectionOptions()) -> S
     trimming discards the singleton whenever it is useless.
     """
     t0 = time.perf_counter()
-    num_bs, num_due = scenario.num_bs, scenario.num_due
+    num_due = scenario.num_due
     gains = build_gains(scenario)
-    current = pat.initial_set(num_bs, num_due).union([Pattern.unit(0, scenario.num_servers)])
+    current = pat.initial_set(num_due).union([Pattern.unit(0, scenario.num_servers)])
 
     table = build_rate_table(scenario, gains, current.members)
     alloc = solve_allocation(table, options.solver)

@@ -101,19 +101,19 @@ def _phi_prime(r: np.ndarray, eps: float) -> np.ndarray:
     return np.where(r >= eps, 1.0 / np.maximum(r, eps), 1.0 / eps)
 
 
-def pattern_scores(wc: np.ndarray, inv: np.ndarray, num_bs: int, allowed: Optional[np.ndarray] = None):
+def pattern_scores(wc: np.ndarray, inv: np.ndarray, allowed: Optional[np.ndarray] = None):
     """Linearized PF gain of every pattern's best vertex.
 
     wc[u, n, i] is the bandwidth-weighted efficiency and inv the derivative
     of the (surrogate) log at the current rates.  Serving user u from server
-    n adds to u's rate and, when n is a relay, takes the same amount from
-    the relay's owner, so the weighted tensor is wc * (inv[u] - inv[owner
-    of n]).  A pattern's score is the sum over servers of its best entry;
-    with an association mask a server may stay idle, so its entry is at
-    least 0.  Returns (scores (I,), weighted tensor (U, N, I)), the tensor
-    at -inf where the mask forbids an entry.
+    n adds to u's rate and, when n = 1+v is user v's relay, takes the same
+    amount from v, so the weighted tensor is wc * (inv[u] - inv[v]), with
+    0 in place of inv[v] for the BS.  A pattern's score is the sum over
+    servers of its best entry; with an association mask a server may stay
+    idle, so its entry is at least 0.  Returns (scores (I,), weighted
+    tensor (U, N, I)), the tensor at -inf where the mask forbids an entry.
     """
-    coef = inv[:, None] - np.concatenate([np.zeros(num_bs), inv])[None, :]
+    coef = inv[:, None] - np.concatenate([[0.0], inv])[None, :]
     p = wc * coef[:, :, None]
     if allowed is not None:
         p = np.where(allowed, p, -np.inf)
@@ -123,13 +123,13 @@ def pattern_scores(wc: np.ndarray, inv: np.ndarray, num_bs: int, allowed: Option
     return per_server.sum(axis=0), p
 
 
-def _lmo(wc: np.ndarray, inv: np.ndarray, num_bs: int, allowed: Optional[np.ndarray]):
+def _lmo(wc: np.ndarray, inv: np.ndarray, allowed: Optional[np.ndarray]):
     """Best vertex for the linearized objective.
 
     Returns (pattern index, per-server user assignment, score); a server
     with only negative allowed entries stays idle (assignment -1).
     """
-    scores, p = pattern_scores(wc, inv, num_bs, allowed)
+    scores, p = pattern_scores(wc, inv, allowed)
     i_star = int(np.argmax(scores))
     col = p[:, :, i_star]  # (U, N)
     assign = col.argmax(axis=0).astype(int)
@@ -138,7 +138,7 @@ def _lmo(wc: np.ndarray, inv: np.ndarray, num_bs: int, allowed: Optional[np.ndar
     return i_star, tuple(int(a) for a in assign), float(scores[i_star])
 
 
-def _vertex_rates(wc: np.ndarray, num_bs: int, patterns: np.ndarray, assign: np.ndarray) -> np.ndarray:
+def _vertex_rates(wc: np.ndarray, patterns: np.ndarray, assign: np.ndarray) -> np.ndarray:
     """Effective-rate vectors of vertices, one row per vertex.
 
     Vertex k gives pattern patterns[k] all the time, with server n serving
@@ -153,7 +153,7 @@ def _vertex_rates(wc: np.ndarray, num_bs: int, patterns: np.ndarray, assign: np.
     rows = users + num_users * np.arange(num_vertices)[None, :]
     phi = np.bincount(rows.ravel(), weights=vals.ravel(), minlength=num_vertices * num_users)
     phi = phi.reshape(num_vertices, num_users)
-    phi -= vals[num_bs:].T
+    phi -= vals[1:].T
     return phi
 
 
@@ -314,12 +314,10 @@ def _corrective_newton(active: "_ActiveSet", eps: float, max_rounds: int = 20) -
             return  # negligible improvement left on this vertex set
 
 
-def _active_set(
-    wc: np.ndarray, num_bs: int, patterns: np.ndarray, assign: np.ndarray, weights: np.ndarray
-) -> _ActiveSet:
+def _active_set(wc: np.ndarray, patterns: np.ndarray, assign: np.ndarray, weights: np.ndarray) -> _ActiveSet:
     """Active set over the vertices (patterns[k], assign[:, k]) with the
     given weights; vertices that are equal merge their weights."""
-    phi = _vertex_rates(wc, num_bs, patterns, assign)
+    phi = _vertex_rates(wc, patterns, assign)
     active = _ActiveSet(wc.shape[0])
     for k, w in enumerate(weights):
         idx = active.add((int(patterns[k]), tuple(assign[:, k].tolist())), phi[k])
@@ -327,7 +325,7 @@ def _active_set(
     return active
 
 
-def _sparse_start(wc: np.ndarray, num_bs: int, allowed: Optional[np.ndarray], eps: float):
+def _sparse_start(wc: np.ndarray, allowed: Optional[np.ndarray], eps: float):
     """The U+1 per-pattern greedy vertices of largest linearized PF gain.
 
     A pattern's greedy vertex lets every server serve its best user (under
@@ -341,7 +339,7 @@ def _sparse_start(wc: np.ndarray, num_bs: int, allowed: Optional[np.ndarray], ep
     assign = col.argmax(axis=0)  # (N, I)
     if allowed is not None:
         assign[col.max(axis=0) <= 0.0] = -1
-    phi = _vertex_rates(wc, num_bs, np.arange(num_patterns), assign)
+    phi = _vertex_rates(wc, np.arange(num_patterns), assign)
     gain = phi @ _phi_prime(phi.mean(axis=0), eps)
     keep = np.argsort(-gain, kind="stable")[: num_users + 1]
     return keep, assign[:, keep], np.full(len(keep), 1.0 / len(keep))
@@ -376,13 +374,12 @@ def _fw_solve(
     if not np.all(usable.any(axis=(1, 2))):
         raise InfeasibleError("a user has no positive-efficiency link under this pattern set")
 
-    num_bs = rate_table.num_bs
     tol = options.tolerance
     eps = 1e-8 * float(wc.max())
     if start:
-        active = _active_set(wc, num_bs, *_warm_start(start, allowed))
+        active = _active_set(wc, *_warm_start(start, allowed))
     else:
-        active = _active_set(wc, num_bs, *_sparse_start(wc, num_bs, allowed, eps))
+        active = _active_set(wc, *_sparse_start(wc, allowed, eps))
     active.normalize()
 
     shrinks = 0
@@ -396,7 +393,7 @@ def _fw_solve(
         inv = _phi_prime(r, eps)
         obj = float(_phi(r, eps).sum())
 
-        i_star, assign, score = _lmo(wc, inv, num_bs, allowed)
+        i_star, assign, score = _lmo(wc, inv, allowed)
         gap_fw = score - float(np.dot(inv, r))
 
         if gap_fw <= tol * max(abs(obj), 1.0):
@@ -415,7 +412,7 @@ def _fw_solve(
                 continue
 
         # Frank-Wolfe step toward the oracle vertex
-        phi_s = _vertex_rates(wc, num_bs, np.array([i_star]), np.array([assign]).T)[0]
+        phi_s = _vertex_rates(wc, np.array([i_star]), np.array([assign]).T)[0]
         s_idx = active.add((i_star, assign), phi_s)
         gamma = _line_search(r, active.phi[s_idx] - r, eps)
         active.w[: len(active)] *= 1.0 - gamma
@@ -450,7 +447,7 @@ def _assemble(
     # certificate with the exact gradient at the returned point
     wc = rate_table.bandwidth_hz * rate_table.c
     inv = 1.0 / rates.r_eff
-    score = float(pattern_scores(wc, inv, rate_table.num_bs, allowed)[0].max())
+    score = float(pattern_scores(wc, inv, allowed)[0].max())
     fw_gap = score - float(np.dot(inv, rates.r_eff))
     vertices = tuple((key, float(w)) for key, w in zip(active.keys, active.w))
     return Allocation(

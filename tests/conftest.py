@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,17 +14,7 @@ def blocked_scenario(num_due, seed, n_blocked=2, wall_count=10):
     walls = np.array(sc.walls)
     for k in range(min(n_blocked, num_due)):
         walls[0, k] = wall_count
-    return Scenario(
-        num_bs=sc.num_bs,
-        num_due=sc.num_due,
-        positions=sc.positions,
-        tx_power_dbm=sc.tx_power_dbm,
-        bandwidth_hz=sc.bandwidth_hz,
-        noise_psd_dbm_hz=sc.noise_psd_dbm_hz,
-        pathloss=sc.pathloss,
-        walls=walls,
-        seed=sc.seed,
-    )
+    return dataclasses.replace(sc, walls=walls)
 
 
 def pf_objective_delta(table, y_plus, y_minus):
@@ -61,7 +53,6 @@ def two_cluster_scenario():
     walls[0, 3] = 12
     walls[0, 4] = 12
     return Scenario(
-        num_bs=1,
         num_due=5,
         positions=positions,
         tx_power_dbm=np.array([30.0, 20.0, 20.0, 20.0, 20.0, 20.0]),

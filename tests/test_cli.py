@@ -165,6 +165,7 @@ class TestMain:
         ({"methods": "algo"}, "methods must be a nonempty subset of"),
         ({"output_dir": 5}, "config output_dir must be a string"),
         ([1, 2], "config must be an object"),
+        ({"scenario": {"dues": 2, "seed": 1, "num_bs": 1}}, "unknown scenario option(s) in config: num_bs"),
     ])
     def test_malformed_config_is_an_error(self, tmp_path, capsys, config, message):
         if isinstance(config, dict):
@@ -179,6 +180,7 @@ class TestMain:
     @pytest.mark.parametrize("doc, message", [
         ({"num_bs": 1}, "scenario num_due is required"),
         ({**gen_scenario(2, seed=1).to_dict(), "num_due": "2"}, 'scenario num_due must be an integer, got "2"'),
+        ({**gen_scenario(2, seed=1).to_dict(), "num_bs": 2}, "scenario num_bs must be 1, got 2"),
     ])
     def test_malformed_scenario_file_is_an_error(self, tmp_path, capsys, doc, message):
         (tmp_path / "scenario.json").write_text(json.dumps(doc))
@@ -187,6 +189,21 @@ class TestMain:
         assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("num_bs", [None, 1])
+    def test_scenario_file_with_one_or_no_num_bs_runs(self, tmp_path, num_bs):
+        # files saved before num_bs was dropped carry "num_bs": 1
+        doc = gen_scenario(2, seed=1).to_dict()
+        assert "num_bs" not in doc
+        if num_bs is not None:
+            doc["num_bs"] = num_bs
+        (tmp_path / "scenario.json").write_text(json.dumps(doc))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"scenario": str(tmp_path / "scenario.json"), "methods": ["algo"]}))
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report_algo.json").read_text())
+        assert report["pf_objective"] == run_experiment(
+            {"scenario": {"dues": 2, "seed": 1}}, tmp_path / "gen")[0]["algo"].pf_objective
 
     def test_usage_errors(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "missing.json")]) == 1

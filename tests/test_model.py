@@ -33,12 +33,10 @@ def sinr(u: int, n: int, pattern: Pattern, gains: GainMatrix, powers_w: np.ndarr
     return float(signal / (gains.noise_power_w + interference))
 
 
-def spectral_efficiency(
-    u: int, n: int, pattern: Pattern, gains: GainMatrix, powers_w: np.ndarray, num_bs: int
-) -> float:
+def spectral_efficiency(u: int, n: int, pattern: Pattern, gains: GainMatrix, powers_w: np.ndarray) -> float:
     """Scalar reference: link efficiency in bits/s/Hz; zero while user u's
-    own relay transmits."""
-    if pattern.is_active(num_bs + u):
+    own relay, server 1+u, transmits."""
+    if pattern.is_active(1 + u):
         return 0.0
     val = float(np.log2(1.0 + sinr(u, n, pattern, gains, powers_w)))
     return val if val >= EFFICIENCY_FLOOR else 0.0
@@ -47,7 +45,7 @@ def spectral_efficiency(
 def simple_scenario(num_due=2, due_offsets=((10.0, 0.0), (0.0, 10.0)), walls=None):
     positions = np.vstack([[100.0, 100.0], [np.array([100.0, 100.0]) + o for o in due_offsets]])
     powers = np.concatenate([[30.0], np.full(num_due, 20.0)])
-    return Scenario(1, num_due, positions, powers, walls=walls)
+    return Scenario(num_due, positions, powers, walls=walls)
 
 
 class TestUnits:
@@ -115,7 +113,7 @@ class TestGains:
         sc = simple_scenario()
         g = build_gains(sc)
         for u in range(sc.num_due):
-            assert g.g[sc.num_bs + u, u] == 0.0
+            assert g.g[1 + u, u] == 0.0
 
     def test_distance_clamp_reported(self):
         sc = simple_scenario(num_due=2, due_offsets=((0.5, 0.0), (0.0, 10.0)))
@@ -126,12 +124,12 @@ class TestGains:
     def test_clamped_links_in_server_then_user_order(self):
         # DUEs 1, 2 and 4 share a spot 0.5 m from the BS; DUE 3 is far away
         sc = simple_scenario(num_due=4, due_offsets=((0.5, 0.0), (0.5, 0.0), (30.0, 0.0), (0.3, 0.4)))
-        d = np.linalg.norm(sc.positions[:, None, :] - sc.positions[None, sc.num_bs :, :], axis=2)
+        d = np.linalg.norm(sc.positions[:, None, :] - sc.positions[None, 1:, :], axis=2)
         loop = [
             (n, u)
             for n in range(sc.num_servers)
             for u in range(sc.num_due)
-            if n != sc.num_bs + u and d[n, u] < 1.0
+            if n != 1 + u and d[n, u] < 1.0
         ]
         assert len(loop) == 9
         assert build_gains(sc).clamped_links == tuple(loop)
@@ -185,19 +183,19 @@ class TestSpectralEfficiency:
         gains = GainMatrix(g=g, noise_power_w=1e-8 * 1e-12)
         powers = np.ones(3)
         p = Pattern.from_bitstring("101")
-        assert spectral_efficiency(0, 0, p, gains, powers, num_bs=1) == pytest.approx(1.0, abs=1e-9)
+        assert spectral_efficiency(0, 0, p, gains, powers) == pytest.approx(1.0, abs=1e-9)
 
     def test_own_relay_active_silences_user(self):
         sc = simple_scenario()
         gains = build_gains(sc)
         p = Pattern.from_bitstring("110")  # BS + DUE 1's own server
-        assert spectral_efficiency(0, 0, p, gains, sc.powers_w(), num_bs=1) == 0.0
+        assert spectral_efficiency(0, 0, p, gains, sc.powers_w()) == 0.0
 
     def test_sinr_three_gives_two_bits(self):
         gains = GainMatrix(g=np.array([[3e-8], [0.0]]), noise_power_w=3e-8 / 3.0)
         powers = np.ones(2)
         p = Pattern.from_bitstring("10")
-        assert spectral_efficiency(0, 0, p, gains, powers, num_bs=1) == pytest.approx(2.0)
+        assert spectral_efficiency(0, 0, p, gains, powers) == pytest.approx(2.0)
 
 
 class TestPatternEfficiencies:
@@ -212,7 +210,7 @@ class TestPatternEfficiencies:
         for i, p in enumerate(pats):
             for u in range(sc.num_due):
                 for n in range(sc.num_servers):
-                    ref = spectral_efficiency(u, n, p, gains, powers, sc.num_bs)
+                    ref = spectral_efficiency(u, n, p, gains, powers)
                     err = abs(c[u, n, i] - ref)
                     assert err <= 1e-12 * abs(ref), (p.bitstring(), u, n, c[u, n, i], ref)
                     if ref:
@@ -245,15 +243,15 @@ class TestPatternEfficiencies:
         for k, p in enumerate(pats[:3]):
             on = p.bits().astype(bool)
             assert not c[:, ~on, k].any()
-            assert not c[on[sc.num_bs :], :, k].any()
+            assert not c[on[1:], :, k].any()
             for u, srv in zip(rng.integers(sc.num_due, size=20).tolist(), rng.integers(n, size=20).tolist()):
-                ref = spectral_efficiency(u, srv, p, gains, powers, sc.num_bs)
+                ref = spectral_efficiency(u, srv, p, gains, powers)
                 assert abs(c[u, srv, k] - ref) <= 1e-12 * abs(ref)
 
     def test_peak_memory_is_about_the_output(self):
         sc = gen_scenario(40, seed=92)
         gains = build_gains(sc)
-        start = initial_set(sc.num_bs, sc.num_due)
+        start = initial_set(sc.num_due)
         cands = start.union(p for n in range(sc.num_servers) for p in flip_neighborhood(start, n)).members
         step = max(1, model._BLOCK_ENTRIES // (sc.num_servers * sc.num_due))
         assert len(cands) >= 10 * step
@@ -305,11 +303,11 @@ class TestRateTable:
             build_rate_table(self.sc, self.gains, [Pattern.from_bitstring("100")] * 2)
 
 
-def synthetic_table(c, bandwidth=2.0e7, num_bs=1):
+def synthetic_table(c, bandwidth=2.0e7):
     c = np.asarray(c, dtype=float)
     n_servers = c.shape[1]
     pats = tuple(Pattern(i + 1, n_servers) for i in range(c.shape[2]))
-    return RateTable(patterns=pats, c=c, bandwidth_hz=bandwidth, num_bs=num_bs)
+    return RateTable(patterns=pats, c=c, bandwidth_hz=bandwidth)
 
 
 class TestRatesFromAllocation:
@@ -359,26 +357,28 @@ class TestScenarioSerialization:
         path = tmp_path / "scenario.json"
         sc.save(path)
         sc2 = Scenario.load(path)
-        assert sc2.num_bs == sc.num_bs and sc2.num_due == sc.num_due
+        assert sc2.num_due == sc.num_due
         assert np.array_equal(sc2.positions, sc.positions)
         assert np.array_equal(sc2.walls, sc.walls)
         assert sc2.pathloss == sc.pathloss
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            Scenario(0, 1, np.zeros((1, 2)), np.zeros(1))
+            Scenario(0, np.zeros((1, 2)), np.zeros(1))
         with pytest.raises(ValueError):
-            Scenario(1, 1, np.zeros((3, 2)), np.zeros(2))
+            Scenario(1, np.zeros((3, 2)), np.zeros(2))
         with pytest.raises(ValueError):
-            Scenario(1, 1, np.zeros((2, 2)), np.zeros(2), bandwidth_hz=0.0)
+            Scenario(1, np.zeros((2, 2)), np.zeros(2), bandwidth_hz=0.0)
         with pytest.raises(ValueError):
-            Scenario(1, 1, np.zeros((2, 2)), np.zeros(2), walls=np.array([[-1], [0]]))
+            Scenario(1, np.zeros((2, 2)), np.zeros(2), walls=np.array([[-1], [0]]))
 
     @pytest.mark.parametrize("change, message", [
         ({"positions_m": [[0.0, 0.0], [1.0]]}, "scenario positions_m must be an array of numbers"),
         ({"walls": [[0, 1.5], [2, 0], [0, 0]]}, "scenario walls must be an array of integers"),
         ({"pathloss": {"a": True}}, "scenario pathloss.a must be a number, got true"),
         ({"seed": [1]}, "scenario seed must be an integer, got [1]"),
+        ({"num_bs": 2}, "scenario num_bs must be 1, got 2"),
+        ({"num_bs": 1.0}, "scenario num_bs must be an integer, got 1.0"),
     ])
     def test_from_dict_names_the_bad_key(self, change, message):
         doc = {**simple_scenario().to_dict(), **change}

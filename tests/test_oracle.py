@@ -56,7 +56,7 @@ class TestBruteForce:
         sc = gen_scenario(3, seed=9)
         alloc, _ = brute_force(sc)
         gains = build_gains(sc)
-        sub = build_rate_table(sc, gains, initial_set(1, 3).members)
+        sub = build_rate_table(sc, gains, initial_set(3).members)
         sub_alloc = solve_allocation(sub)
         assert alloc.objective >= sub_alloc.objective - 1e-6 * abs(alloc.objective)
 

@@ -20,6 +20,17 @@ class TestPattern:
         assert [q.active_set for q in flip_neighborhood(v, 100)] == [(0, 64)]
         assert [q.active_set for q in flip_neighborhood(v, 99)] == [(0, 64, 99, 100), (99, 100)]
 
+    def test_numpy_integer_indices_past_64_servers(self):
+        # a numpy integer index must not shift in int64, where bit 70 is lost
+        p = Pattern.from_active(np.array([0, 46, 70]), 71)
+        assert p.active_set == (0, 46, 70)
+        assert p.is_active(np.int64(70)) and p.is_active(np.int64(46)) and not p.is_active(np.int64(45))
+        assert p.flip(np.int64(70)).active_set == (0, 46)
+        assert p.flip(np.int64(69)).active_set == (0, 46, 69, 70)
+        assert Pattern.unit(np.int64(70), 71).active_set == (70,)
+        v = PatternSet((Pattern(1, 71),))
+        assert [q.active_set for q in flip_neighborhood(v, np.int64(70))] == [(0, 70)]
+
     def test_bitstring_round_trip(self):
         p = Pattern.from_bitstring("10110")
         assert p.bitstring() == "10110"
@@ -49,26 +60,20 @@ class TestPatternSet:
 
 class TestInitialSet:
     def test_two_users(self):
-        s = initial_set(1, 2)
+        s = initial_set(2)
         assert {p.bitstring() for p in s} == {"110", "101"}
 
     def test_single_user(self):
-        s = initial_set(1, 1)
+        s = initial_set(1)
         assert [p.bitstring() for p in s] == ["11"]
 
     def test_size_is_user_count(self):
         for u in range(1, 8):
-            assert len(initial_set(1, u)) == u
+            assert len(initial_set(u)) == u
 
     def test_every_member_contains_bs_bit(self):
         for u in range(1, 6):
-            assert all(p.is_active(0) for p in initial_set(1, u))
-
-    def test_multi_bs_generalization(self):
-        s = initial_set(2, 3)
-        strings = [p.bitstring() for p in s]
-        assert "10000" in strings and "01000" in strings
-        assert {"10100", "10010", "10001"} <= set(strings)
+            assert all(p.is_active(0) for p in initial_set(u))
 
 
 class TestHamming:

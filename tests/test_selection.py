@@ -73,7 +73,7 @@ def old_best_entries(cand, scenario, gains, rates):
     the table scoring replaced; the score is their sum."""
     c = pattern_efficiencies(scenario, gains, [cand])[:, :, 0]  # (U, N)
     inv = 1.0 / rates.r_eff
-    coef = inv[:, None] - np.concatenate([np.zeros(scenario.num_bs), inv])[None, :]
+    coef = inv[:, None] - np.concatenate([[0.0], inv])[None, :]
     p = scenario.bandwidth_hz * c * coef
     return p.max(axis=0)
 
@@ -117,7 +117,7 @@ def summation_bound(scenario, gains, cand, rates):
 def start_point(scenario):
     """run's first candidate set and the relaxed rates on it."""
     gains = build_gains(scenario)
-    current = initial_set(scenario.num_bs, scenario.num_due).union([Pattern.unit(0, scenario.num_servers)])
+    current = initial_set(scenario.num_due).union([Pattern.unit(0, scenario.num_servers)])
     alloc = solve_allocation(build_rate_table(scenario, gains, current.members))
     return gains, current, alloc
 
@@ -167,7 +167,7 @@ class TestScorePattern:
                 assert abs(scores[k] - ref) <= summation_bound(sc, gains, cand, alloc.rates)
         # the best table score is the score of the Frank-Wolfe oracle's vertex
         wc = table.bandwidth_hz * table.c
-        i_star, _, lmo_score = _lmo(wc, 1.0 / alloc.rates.r_eff, sc.num_bs, None)
+        i_star, _, lmo_score = _lmo(wc, 1.0 / alloc.rates.r_eff, None)
         assert int(np.argmax(scores)) == i_star
         assert scores.max() == lmo_score
 
@@ -182,7 +182,7 @@ class TestProposeCandidates:
     def setup_method(self):
         self.sc = gen_scenario(3, seed=8)
         self.gains = build_gains(self.sc)
-        self.current = initial_set(1, 3)
+        self.current = initial_set(3)
         table = build_rate_table(self.sc, self.gains, self.current.members)
         self.alloc = solve_allocation(table)
 
@@ -267,7 +267,7 @@ class TestFinalizeOnSet:
     def test_reused_relaxed_solve_equals_a_fresh_one(self):
         sc = blocked_scenario(6, seed=3)
         gains = build_gains(sc)
-        pattern_set = initial_set(sc.num_bs, sc.num_due)
+        pattern_set = initial_set(sc.num_due)
         table = build_rate_table(sc, gains, pattern_set.members)
         solved = (table, solve_allocation(table))
         _, relaxed, z, final = finalize_on_set(sc, gains, pattern_set, SolverOptions(), solved)
@@ -283,7 +283,7 @@ class TestFinalizeOnSet:
     def test_rejects_a_solve_on_another_set(self):
         sc = gen_scenario(3, seed=1)
         gains = build_gains(sc)
-        pattern_set = initial_set(sc.num_bs, sc.num_due)
+        pattern_set = initial_set(sc.num_due)
         other = build_rate_table(sc, gains, pattern_set.members[::-1])
         with pytest.raises(ValueError):
             finalize_on_set(sc, gains, pattern_set, SolverOptions(), (other, solve_allocation(other)))

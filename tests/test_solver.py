@@ -136,30 +136,30 @@ class TestLineSearch:
         assert _line_search(r_base, np.array([-1.0, -1.0]), 1e-3) == 0.0
 
 
-def vertex_rates_loop(wc, num_bs, i, assign):
-    """Reference: effective-rate vector of one vertex, server by server."""
+def vertex_rates_loop(wc, i, assign):
+    """Reference: effective-rate vector of one vertex, server by server;
+    relay server n belongs to user n - 1."""
     phi = np.zeros(wc.shape[0])
     for n, u in enumerate(assign):
         if u < 0:
             continue
         phi[u] += wc[u, n, i]
-        if n >= num_bs:
-            phi[n - num_bs] -= wc[u, n, i]
+        if n >= 1:
+            phi[n - 1] -= wc[u, n, i]
     return phi
 
 
 class TestVertexRates:
     def test_matches_loop_reference(self):
         rng = np.random.default_rng(17)
-        for num_bs in (1, 2):
-            wc = rng.uniform(0.0, 1e8, size=(5, num_bs + 5, 9))
-            patterns = rng.integers(0, 9, size=12)
-            assign = rng.integers(-1, 5, size=(num_bs + 5, 12))
-            phi = _vertex_rates(wc, num_bs, patterns, assign)
-            for k in range(12):
-                ref = vertex_rates_loop(wc, num_bs, patterns[k], assign[:, k])
-                # same terms summed in another order: a few ulps of the largest term
-                assert np.abs(phi[k] - ref).max() <= 8 * np.finfo(float).eps * 1e8 * assign.shape[0]
+        wc = rng.uniform(0.0, 1e8, size=(5, 6, 9))
+        patterns = rng.integers(0, 9, size=12)
+        assign = rng.integers(-1, 5, size=(6, 12))
+        phi = _vertex_rates(wc, patterns, assign)
+        for k in range(12):
+            ref = vertex_rates_loop(wc, patterns[k], assign[:, k])
+            # same terms summed in another order: a few ulps of the largest term
+            assert np.abs(phi[k] - ref).max() <= 8 * np.finfo(float).eps * 1e8 * assign.shape[0]
 
 
 class TestActiveSet:
@@ -184,7 +184,7 @@ class TestSparseStart:
         c[1, 0, :] = 1.0
         c[1, 2, :] = 3.0
         wc = 2e7 * c
-        patterns, assign, weights = _sparse_start(wc, 1, None, 1e-8 * wc.max())
+        patterns, assign, weights = _sparse_start(wc, None, 1e-8 * wc.max())
         assert patterns.tolist() == [0, 1, 2]
         assert assign.tolist() == [[0, 0, 0], [0, 0, 0], [1, 1, 1]]
         assert weights == pytest.approx([1 / 3] * 3)
@@ -292,7 +292,7 @@ class TestSolveAllocation:
     def test_seventy_dues_converge_with_certificate(self):
         # 71 servers: pattern masks wider than 64 bits
         sc = gen_scenario(70, seed=5)
-        members = initial_set(1, 70).union([Pattern.unit(0, 71)]).members
+        members = initial_set(70).union([Pattern.unit(0, 71)]).members
         alloc = solve_allocation(build_rate_table(sc, build_gains(sc), members))
         assert alloc.converged
         check_certificate(alloc)
