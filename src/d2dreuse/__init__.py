@@ -21,6 +21,7 @@ from .solver import (
     Allocation,
     InfeasibleError,
     SolverOptions,
+    SolveStats,
     directional_objective,
     solve_allocation,
     solve_fixed_association,
@@ -47,6 +48,7 @@ __all__ = [
     "SelectionOptions",
     "SolveReport",
     "SolverOptions",
+    "SolveStats",
     "brute_force",
     "bs_only_baseline",
     "build_gains",

@@ -134,13 +134,14 @@ def run_experiment(config: dict, out_dir: Path, trace: bool = False) -> tuple[di
             infeasible.append(method)
             (out_dir / f"report_{method}.json").write_text(
                 json.dumps({"method": method, "status": "INFEASIBLE", "detail": str(exc),
-                            "config_hash": chash, "seed": scenario.seed}, indent=2) + "\n")
+                            "config_hash": chash, "seed": scenario.seed}) + "\n")
             continue
 
         doc = reports[method].to_dict()
         doc["config_hash"] = chash
         doc["seed"] = scenario.seed
-        (out_dir / f"report_{method}.json").write_text(json.dumps(doc, indent=2) + "\n")
+        # compact: with indent, json falls back to its pure-Python encoder
+        (out_dir / f"report_{method}.json").write_text(json.dumps(doc) + "\n")
 
         rates = np.sort(reports[method].final_allocation.rates.r_eff) / 1e6
         with open(out_dir / f"cdf_{method}.csv", "w", newline="") as fh:

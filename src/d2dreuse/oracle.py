@@ -4,6 +4,7 @@ comparison schemes (BS-plus-one-relay and BS-only)."""
 
 from __future__ import annotations
 
+import functools
 import time
 
 import numpy as np
@@ -20,7 +21,13 @@ class GuardExceededError(RuntimeError):
     """Exhaustive enumeration refused: too many servers."""
 
 
+@functools.lru_cache(maxsize=8)
 def all_patterns(n_servers: int) -> PatternSet:
+    """Every nonempty pattern over n_servers, in mask order.
+
+    Cached for the last few sizes: the set and its patterns are immutable,
+    so every call for one size shares the same object.
+    """
     return PatternSet(tuple(Pattern(mask, n_servers) for mask in range(1, 1 << n_servers)))
 
 

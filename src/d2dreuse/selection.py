@@ -56,7 +56,7 @@ class SolveReport:
             "patterns": [p.bitstring() for p in self.final_patterns],
             "relaxed": self.relaxed_allocation.to_dict(),
             "final": self.final_allocation.to_dict(),
-            "associations": [[int(u), int(n), int(i)] for u, n, i in nz],
+            "associations": nz.tolist(),
             "objective_trace": self.objective_trace,
             "pf_objective": self.pf_objective,
             "gm_throughput_mbps": self.gm_throughput_mbps,

@@ -5,10 +5,15 @@ time-share polytope) is solved with Frank-Wolfe and a corrective Newton
 polish.  The linear oracle decomposes exactly: pick one pattern, then for
 each server the user with the largest gradient entry, so every iterate is
 an explicit convex combination of (pattern, per-server user assignment)
-vertices.  Each iteration steps toward the oracle vertex; every fifth one
-first re-optimizes the weights over the current vertices with Newton's
-method, which drops the vertices it drives to zero weight and so keeps
-the active set small.
+vertices.  Each iteration steps toward the oracle vertex.  The weights
+over the current vertices are re-optimized with Newton's method at the
+start of every fifth iteration, and also at the start of the iteration
+after one whose oracle vertex was already held: such an iteration takes
+no step, since re-weighting the held vertices is the better move (the
+fully corrective idea of simplicial decomposition).  If the oracle
+repeats a held vertex right after a polish, the step is taken, so every
+iteration makes progress.  The polish drops the vertices it drives to
+zero weight and so keeps the active set small.
 
 The start is sparse: an optimum needs only about U active patterns
 (Caratheodory), so the solve begins from the U+1 per-pattern greedy
@@ -29,6 +34,7 @@ direction, with a 1-D Newton method safeguarded by bisection.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -54,6 +60,30 @@ class SolverOptions:
 
 
 @dataclass(frozen=True)
+class SolveStats:
+    """What one Frank-Wolfe solve did, counted as it ran.
+
+    Every iteration either takes a Frank-Wolfe step, skips it because the
+    oracle returned a held vertex (a polish-only iteration: the next one
+    starts with a polish), shrinks the rate floor, or returns the
+    certificate; so fw_steps + polish_only + shrinks + converged equals
+    the iteration count.
+    """
+
+    fw_steps: int = 0
+    polish_only: int = 0
+    polishes: int = 0  # corrective Newton calls
+    newton_rounds: int = 0  # KKT solves inside them
+    dropped: int = 0  # vertices pruned at zero weight
+    line_search_evals: int = 0  # derivative evaluations, one line search per FW step
+    shrinks: int = 0  # rate-floor reductions
+    peak_active: int = 0  # largest active-set size
+
+    def to_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
+
+@dataclass(frozen=True)
 class Allocation:
     """Solved time shares with rate bookkeeping and a gap certificate."""
 
@@ -67,17 +97,19 @@ class Allocation:
     # ((pattern index, per-server user or -1), weight) pairs of the returned
     # convex combination; a later solve can start from them
     vertices: tuple = field(default=(), repr=False, compare=False)
+    stats: SolveStats = field(default=SolveStats(), compare=False)
 
     def to_dict(self, rate_table: Optional[RateTable] = None) -> dict:
         nz = np.argwhere(self.y > 0)
         d = {
             "x": self.x.tolist(),
-            "y_nonzero": [[int(u), int(n), int(i), float(self.y[u, n, i])] for u, n, i in nz],
+            "y_nonzero": [idx + [v] for idx, v in zip(nz.tolist(), self.y[tuple(nz.T)].tolist())],
             "rates_mbps": (self.rates.r_eff / 1e6).tolist(),
             "objective": self.objective,
             "fw_gap": self.fw_gap,
             "iterations": self.iterations,
             "converged": self.converged,
+            "stats": self.stats.to_dict(),
         }
         if rate_table is not None:
             d["patterns"] = [p.bitstring() for p in rate_table.patterns]
@@ -94,11 +126,26 @@ def directional_objective(rate_table: RateTable, y: np.ndarray) -> float:
 
 def _phi(r: np.ndarray, eps: float) -> np.ndarray:
     """Natural log with a linear tangent continuation below eps."""
+    if r.min() >= eps:  # the usual case: no rate under the floor
+        return np.log(r)
     return np.where(r >= eps, np.log(np.maximum(r, eps)), np.log(eps) - 1.0 + r / eps)
 
 
+def _phi_derivs(r: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Slope of _phi and its curvature magnitude -_phi''.
+
+    The slope is 1/r, continued by the tangent slope 1/eps below the
+    floor, where the curvature is 0.
+    """
+    if r.min() >= eps:
+        inv = 1.0 / r
+        return inv, inv * inv
+    inv = 1.0 / np.maximum(r, eps)
+    return inv, np.where(r >= eps, inv * inv, 0.0)
+
+
 def _phi_prime(r: np.ndarray, eps: float) -> np.ndarray:
-    return np.where(r >= eps, 1.0 / np.maximum(r, eps), 1.0 / eps)
+    return _phi_derivs(r, eps)[0]
 
 
 def pattern_scores(wc: np.ndarray, inv: np.ndarray, allowed: Optional[np.ndarray] = None):
@@ -161,43 +208,45 @@ _MAX_LINE_SEARCH_STEPS = 100  # bisection alone needs about 40 to reach the stop
 _LINE_SEARCH_WIDTH = 1e-12  # stop width on gamma
 
 
-def _line_search(r_base: np.ndarray, d_r: np.ndarray, eps: float) -> float:
+def _line_search(r_base: np.ndarray, d_r: np.ndarray, eps: float) -> tuple[float, int]:
     """Exact maximization of the surrogate along r_base + gamma * d_r.
 
     The surrogate is concave in gamma, so its derivative falls and has at
     most one root in [0, 1].  Newton's method on that derivative finds the
     root; a step that leaves the current bracket of the root is replaced
-    by bisection.  Returns 1 when the derivative is still nonnegative
-    there, and 0 when it is already nonpositive at 0.
+    by bisection.  The step is 1 when the derivative is still nonnegative
+    there, and 0 when it is already nonpositive at 0.  Returns the step
+    and the number of derivative evaluations it took.
     """
     d_sq = d_r * d_r
+    evals = 0
 
     def derivs(g: float) -> tuple[float, float]:
-        r = r_base + g * d_r
-        inv = 1.0 / np.maximum(r, eps)  # tangent slope 1/eps below the floor
-        curv = np.where(r >= eps, inv * inv, 0.0)
+        nonlocal evals
+        evals += 1
+        inv, curv = _phi_derivs(r_base + g * d_r, eps)
         return float(np.dot(d_r, inv)), -float(np.dot(d_sq, curv))
 
     d1, _ = derivs(1.0)
     if d1 >= 0.0:
-        return 1.0
+        return 1.0, evals
     g = 0.0
     d1, d2 = derivs(g)
     if d1 <= 0.0:
-        return 0.0
+        return 0.0, evals
     lo, hi = 0.0, 1.0
     for _ in range(_MAX_LINE_SEARCH_STEPS):
         if d2 < 0.0:
             step = -d1 / d2
             if abs(step) <= _LINE_SEARCH_WIDTH:
-                return min(max(g + step, lo), hi)
+                return min(max(g + step, lo), hi), evals
             g_new = g + step
         else:
             g_new = hi  # no curvature: bisect
         if not lo < g_new < hi:
             g_new = 0.5 * (lo + hi)
         if abs(g_new - g) <= _LINE_SEARCH_WIDTH:
-            return g_new
+            return g_new, evals
         g = g_new
         d1, d2 = derivs(g)
         if d1 > 0.0:
@@ -205,10 +254,10 @@ def _line_search(r_base: np.ndarray, d_r: np.ndarray, eps: float) -> float:
         elif d1 < 0.0:
             hi = g
         else:
-            return g
+            return g, evals
         if hi - lo <= _LINE_SEARCH_WIDTH:
             break
-    return g
+    return g, evals
 
 
 class _ActiveSet:
@@ -220,6 +269,8 @@ class _ActiveSet:
         self.w = np.zeros(self._cap)
         self.keys: list[tuple[int, tuple[int, ...]]] = []
         self.index: dict[tuple[int, tuple[int, ...]], int] = {}
+        self.dropped = 0  # vertices pruned so far
+        self.peak = 0  # largest size reached
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -237,17 +288,20 @@ class _ActiveSet:
         self.w[n] = 0.0
         self.keys.append(key)
         self.index[key] = n
+        self.peak = max(self.peak, n + 1)
         return n
 
     def prune(self, floor: float = 1e-16) -> None:
         """Drop the vertices whose weight fell under floor, keeping order."""
         n = len(self.keys)
+        if self.w[:n].min() >= floor:
+            return
         keep = np.flatnonzero(self.w[:n] >= floor)
-        if len(keep) < n:
-            self.phi[: len(keep)] = self.phi[keep]
-            self.w[: len(keep)] = self.w[keep]
-            self.keys = [self.keys[k] for k in keep]
-            self.index = {key: k for k, key in enumerate(self.keys)}
+        self.phi[: len(keep)] = self.phi[keep]
+        self.w[: len(keep)] = self.w[keep]
+        self.keys = [self.keys[k] for k in keep]
+        self.index = {key: k for k, key in enumerate(self.keys)}
+        self.dropped += n - len(keep)
 
     def normalize(self) -> None:
         n = len(self.keys)
@@ -258,45 +312,46 @@ class _ActiveSet:
         return self.phi[:n].T @ self.w[:n]
 
 
-def _corrective_newton(active: "_ActiveSet", eps: float, max_rounds: int = 20) -> None:
+def _corrective_newton(active: "_ActiveSet", eps: float, max_rounds: int = 20) -> int:
     """Re-optimize the weights over the current vertices (simplex Newton).
 
     Frank-Wolfe discovers vertices quickly but zig-zags on the final
     weights; this equality-constrained Newton polish removes that tail.
-    Vertices driven to zero weight are dropped.
+    Vertices driven to zero weight are dropped.  Returns the number of
+    Newton rounds (KKT solves) taken.
     """
-    while max_rounds > 0:
-        max_rounds -= 1
+    rounds = 0
+    while rounds < max_rounds:
         n = len(active)
         if n <= 1:
-            return
+            break
+        rounds += 1
         p_mat = active.phi[:n]
         w = active.w[:n].copy()
         r = p_mat.T @ w
-        g = p_mat @ _phi_prime(r, eps)
-        curv = np.where(r >= eps, 1.0 / np.maximum(r, eps) ** 2, 0.0)
-        h = (p_mat * curv[None, :]) @ p_mat.T
-        reg = 1e-10 * (np.trace(h) / n + 1.0)
-        kkt = np.zeros((n + 1, n + 1))
-        kkt[:n, :n] = h + reg * np.eye(n)
-        kkt[:n, n] = 1.0
-        kkt[n, :n] = 1.0
-        rhs = np.concatenate([g, [0.0]])
+        slope, curv = _phi_derivs(r, eps)
+        kkt = np.ones((n + 1, n + 1))
+        kkt[n, n] = 0.0
+        kkt[:n, :n] = (p_mat * curv) @ p_mat.T
+        h_diag = kkt.reshape(-1)[: n * (n + 2) : n + 2]  # view of the Hessian's diagonal
+        h_diag += 1e-10 * (h_diag.sum() / n + 1.0)
+        rhs = np.zeros(n + 1)
+        rhs[:n] = p_mat @ slope
         try:
             sol = np.linalg.solve(kkt, rhs)
         except np.linalg.LinAlgError:
-            return
+            break
         dw = sol[:n]
-        g_dot_d = float(g @ dw)
-        if g_dot_d <= 0 or np.abs(dw).max() < 1e-18:
-            return
+        g_dot_d = float(rhs[:n] @ dw)  # the squared Newton decrement
+        f0 = float(_phi(r, eps).sum())
+        if g_dot_d <= 1e-13 * (abs(f0) + 1.0) or np.abs(dw).max() < 1e-18:
+            break  # no gain that the Armijo test could resolve
         neg = dw < 0
         t_max = 1.0
         if neg.any():
             t_max = min(1.0, float(np.min(w[neg] / -dw[neg])))
         if t_max <= 0:
-            return
-        f0 = float(_phi(r, eps).sum())
+            break
         t = t_max
         accepted = False
         for _ in range(40):
@@ -306,12 +361,13 @@ def _corrective_newton(active: "_ActiveSet", eps: float, max_rounds: int = 20) -
                 break
             t *= 0.5
         if not accepted:
-            return
+            break
         active.w[:n] = np.maximum(w + t * dw, 0.0)
         active.prune()
         active.normalize()
         if t * g_dot_d < 1e-14 * (abs(f0) + 1.0):
-            return  # negligible improvement left on this vertex set
+            break  # negligible improvement left on this vertex set
+    return rounds
 
 
 def _active_set(wc: np.ndarray, patterns: np.ndarray, assign: np.ndarray, weights: np.ndarray) -> _ActiveSet:
@@ -382,12 +438,17 @@ def _fw_solve(
         active = _active_set(wc, *_sparse_start(wc, allowed, eps))
     active.normalize()
 
-    shrinks = 0
+    counts = dict.fromkeys(
+        ("fw_steps", "polish_only", "polishes", "newton_rounds", "line_search_evals", "shrinks"), 0
+    )
+    held = False  # the last oracle vertex was already in the active set
     it = 0
     while it < options.max_iters:
         it += 1
-        if it % 5 == 0:
-            _corrective_newton(active, eps)
+        polished = held or it % 5 == 0
+        if polished:
+            counts["polishes"] += 1
+            counts["newton_rounds"] += _corrective_newton(active, eps)
         r = active.rates()
         min_r = float(r.min())
         inv = _phi_prime(r, eps)
@@ -400,21 +461,33 @@ def _fw_solve(
             if min_r >= eps:
                 # exit on the certificate that is returned, whose rates are
                 # recomputed from (x, y) and may differ in the last bits
-                alloc = _assemble(rate_table, active, it, True, allowed)
+                alloc = _assemble(rate_table, active, it, True, allowed, counts)
                 if alloc.fw_gap <= tol * max(abs(alloc.objective), 1.0):
                     return alloc
             else:
                 # surrogate optimal but some rate still under the floor
-                shrinks += 1
-                if shrinks > 6:
+                counts["shrinks"] += 1
+                if counts["shrinks"] > 6:
                     break
                 eps = eps * 1e-3 if min_r <= 0 else min(eps * 1e-3, 0.25 * min_r)
+                held = False
                 continue
 
+        # a held oracle vertex calls for re-weighting the held vertices, not
+        # a step; right after a polish the step is taken all the same
+        key = (i_star, assign)
+        held = key in active.index and not polished
+        if held:
+            counts["polish_only"] += 1
+            continue
+
         # Frank-Wolfe step toward the oracle vertex
-        phi_s = _vertex_rates(wc, np.array([i_star]), np.array([assign]).T)[0]
-        s_idx = active.add((i_star, assign), phi_s)
-        gamma = _line_search(r, active.phi[s_idx] - r, eps)
+        s_idx = active.index.get(key)
+        if s_idx is None:
+            s_idx = active.add(key, _vertex_rates(wc, np.array([i_star]), np.array([assign]).T)[0])
+        gamma, evals = _line_search(r, active.phi[s_idx] - r, eps)
+        counts["fw_steps"] += 1
+        counts["line_search_evals"] += evals
         active.w[: len(active)] *= 1.0 - gamma
         active.w[s_idx] += gamma
         active.prune()
@@ -423,7 +496,7 @@ def _fw_solve(
     r = active.rates()
     if float(r.min()) <= 0.0:
         raise InfeasibleError("no strictly positive effective-rate point found")
-    return _assemble(rate_table, active, it, False, allowed)
+    return _assemble(rate_table, active, it, False, allowed, counts)
 
 
 def _assemble(
@@ -431,7 +504,8 @@ def _assemble(
     active: _ActiveSet,
     iterations: int,
     converged: bool,
-    allowed: Optional[np.ndarray] = None,
+    allowed: Optional[np.ndarray],
+    counts: dict,
 ) -> Allocation:
     num_users, num_servers, num_patterns = rate_table.c.shape
     x = np.zeros(num_patterns)
@@ -453,6 +527,7 @@ def _assemble(
     return Allocation(
         x=x, y=y, rates=rates, objective=objective, fw_gap=fw_gap, iterations=iterations,
         converged=converged, vertices=vertices,
+        stats=SolveStats(**counts, dropped=active.dropped, peak_active=active.peak),
     )
 
 

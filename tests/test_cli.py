@@ -94,6 +94,26 @@ class TestRunExperiment:
         da.pop("wall_time_s"), db.pop("wall_time_s")
         assert da == db
 
+    def test_report_files_parse_to_the_report_dicts(self, tmp_path):
+        config = {"scenario": {"dues": 4, "seed": 7, "walls_random": 4},
+                  "methods": ["algo", "brute", "orthogonal", "bs_only"]}
+        reports, _ = run_experiment(config, tmp_path)
+        for m, rep in reports.items():
+            text = (tmp_path / f"report_{m}.json").read_text()
+            assert text.count("\n") == 1 and text.endswith("\n")  # single-line JSON
+            doc = json.loads(text)
+            expected = {**rep.to_dict(), "config_hash": config_hash(config), "seed": 7}
+            assert doc == expected
+            assert list(doc) == list(expected)
+            for part in ("relaxed", "final"):
+                assert list(doc[part]) == list(expected[part])
+                y = getattr(rep, f"{part}_allocation").y
+                assert doc[part]["y_nonzero"] == [
+                    [int(u), int(n), int(i), float(y[u, n, i])] for u, n, i in np.argwhere(y > 0)
+                ]
+            z = rep.associations
+            assert doc["associations"] == [[int(u), int(n), int(i)] for u, n, i in np.argwhere(z > 0)]
+
     def test_infeasible_method_reported(self, tmp_path):
         config = {"scenario": {"dues": 1, "seed": 3}, "methods": ["orthogonal"]}
         reports, infeasible = run_experiment(config, tmp_path)

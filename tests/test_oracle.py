@@ -24,6 +24,14 @@ class TestAllPatterns:
     def test_no_all_zero_member(self):
         assert all(p.mask != 0 for p in all_patterns(3))
 
+    def test_cached_set_is_shared_and_unchanged(self):
+        first = all_patterns(5)
+        masks = [(p.mask, p.n_servers) for p in first]
+        brute_force(gen_scenario(4, seed=2))  # 5 servers: uses and returns the cached set
+        second = all_patterns(5)
+        assert second is first
+        assert [(p.mask, p.n_servers) for p in second] == masks == [(m, 5) for m in range(1, 32)]
+
 
 class TestBruteForce:
     def test_guard(self):

@@ -1,20 +1,35 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from d2dreuse import (
     InfeasibleError,
     SolverOptions,
+    SolveStats,
     build_gains,
     build_rate_table,
     directional_objective,
     solve_allocation,
     solve_fixed_association,
+    solver,
 )
 from d2dreuse.cli import gen_scenario
 from d2dreuse.oracle import all_patterns, brute_force
 from d2dreuse.patterns import Pattern, initial_set
 from d2dreuse.selection import round_association
-from d2dreuse.solver import _ActiveSet, _line_search, _phi, _phi_prime, _sparse_start, _vertex_rates
+from d2dreuse.solver import (
+    _ActiveSet,
+    _active_set,
+    _corrective_newton,
+    _line_search,
+    _phi,
+    _phi_derivs,
+    _phi_prime,
+    _sparse_start,
+    _vertex_rates,
+    _warm_start,
+)
 
 from test_model import synthetic_table
 
@@ -110,7 +125,7 @@ class TestLineSearch:
         kinds = {"interior": 0, "full_step": 0, "crosses_floor": 0}
         worst_gamma = worst_value = 0.0
         for r_base, d_r, eps in self.draws():
-            got = _line_search(r_base, d_r, eps)
+            got, _ = _line_search(r_base, d_r, eps)
             ref = bisection_line_search(r_base, d_r, eps)
             assert 0.0 <= got <= 1.0
             assert abs(got - ref) <= self.GAMMA_RTOL, (got, ref)
@@ -132,8 +147,43 @@ class TestLineSearch:
 
     def test_endpoints(self):
         r_base = np.array([1.0, 2.0])
-        assert _line_search(r_base, np.array([1.0, 1.0]), 1e-3) == 1.0
-        assert _line_search(r_base, np.array([-1.0, -1.0]), 1e-3) == 0.0
+        assert _line_search(r_base, np.array([1.0, 1.0]), 1e-3) == (1.0, 1)
+        assert _line_search(r_base, np.array([-1.0, -1.0]), 1e-3) == (0.0, 2)
+
+
+def phi_reference(r, eps):
+    """The surrogate log and its derivatives by the general formulas."""
+    inv = np.where(r >= eps, 1.0 / np.maximum(r, eps), 1.0 / eps)
+    return (
+        np.where(r >= eps, np.log(np.maximum(r, eps)), np.log(eps) - 1.0 + r / eps),
+        inv,
+        np.where(r >= eps, inv * inv, 0.0),
+    )
+
+
+class TestPhi:
+    def test_above_the_floor_bit_identical_to_the_general_formula(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            eps = 10.0 ** rng.uniform(-2, 4)
+            r = eps * np.exp(rng.uniform(0.0, 20.0, int(rng.integers(1, 40))))
+            r[0] = eps  # on the floor counts as above it
+            value, slope, curv = phi_reference(r, eps)
+            assert np.array_equal(_phi(r, eps), value)
+            assert np.array_equal(_phi_prime(r, eps), slope)
+            assert np.array_equal(_phi_derivs(r, eps)[0], slope)
+            assert np.array_equal(_phi_derivs(r, eps)[1], curv)
+
+    def test_below_the_floor_takes_the_tangent_branch(self):
+        eps = 2.0
+        r = np.array([-3.0, 0.0, 1.0, 2.0, 8.0])
+        value, slope, curv = phi_reference(r, eps)
+        assert np.array_equal(_phi(r, eps), value)
+        assert np.array_equal(_phi_prime(r, eps), slope)
+        assert np.array_equal(_phi_derivs(r, eps)[1], curv)
+        assert _phi(r, eps)[:3] == pytest.approx(np.log(eps) - 1.0 + r[:3] / eps, rel=1e-15)
+        assert _phi_prime(r, eps).tolist() == [0.5, 0.5, 0.5, 0.5, 0.125]
+        assert _phi_derivs(r, eps)[1].tolist() == [0.0, 0.0, 0.0, 0.25, 1.0 / 64.0]
 
 
 def vertex_rates_loop(wc, i, assign):
@@ -175,6 +225,73 @@ class TestActiveSet:
         assert active.w[:3].tolist() == [0.4, 0.3, 0.3]
         assert active.add(keys[1], np.array([9.0, 9.0])) == 3 and active.w[3] == 0.0
         assert active.add(keys[2], np.array([9.0, 9.0])) == 1
+
+
+class TestCorrectiveNewton:
+    def test_optimal_weights_take_one_kkt_solve_and_no_armijo_step(self, monkeypatch):
+        sc = gen_scenario(6, seed=4, walls_random=4)
+        alloc, table = brute_force(sc)
+        wc = table.bandwidth_hz * table.c
+        eps = 1e-8 * float(wc.max())
+        active = _active_set(wc, *_warm_start(alloc.vertices, None))
+        active.normalize()
+        _corrective_newton(active, eps)  # polish the weights to the optimum
+        w = active.w[: len(active)].copy()
+        phi_calls = []
+        real_phi = solver._phi
+        monkeypatch.setattr(solver, "_phi", lambda r, e: phi_calls.append(1) or real_phi(r, e))
+        assert _corrective_newton(active, eps) == 1
+        assert len(phi_calls) == 1  # the value at the start; no Armijo trial point
+        assert np.array_equal(active.w[: len(active)], w)
+
+
+class TestOnDemandPolish:
+    def test_held_oracle_vertex_polishes_off_the_fifth_iteration(self, monkeypatch):
+        calls = {"lmo": 0}
+        polish_at = []
+        real_lmo, real_newton = solver._lmo, solver._corrective_newton
+
+        def lmo(*args):
+            calls["lmo"] += 1  # once per iteration
+            return real_lmo(*args)
+
+        def newton(*args):
+            polish_at.append(calls["lmo"] + 1)  # the polish opens the iteration
+            return real_newton(*args)
+
+        monkeypatch.setattr(solver, "_lmo", lmo)
+        monkeypatch.setattr(solver, "_corrective_newton", newton)
+        alloc, _ = brute_force(gen_scenario(5, seed=1, walls_random=4))
+        assert alloc.converged and calls["lmo"] == alloc.iterations
+        assert set(range(5, alloc.iterations + 1, 5)) <= set(polish_at)
+        assert [it for it in polish_at if it % 5]
+        assert len(polish_at) == alloc.stats.polishes
+        print(f"PASS polishes at iterations {polish_at} of {alloc.iterations}")
+
+
+class TestSolveStats:
+    def test_exact_counts_on_a_fixed_drop(self):
+        alloc, table = brute_force(gen_scenario(5, seed=1, walls_random=4))
+        assert alloc.iterations == 12
+        assert alloc.stats == SolveStats(
+            fw_steps=8, polish_only=3, polishes=4, newton_rounds=25, dropped=9, line_search_evals=61,
+            shrinks=0, peak_active=10,
+        )
+        assert alloc.to_dict(table)["stats"] == dataclasses.asdict(alloc.stats)
+
+    @pytest.mark.parametrize("num_dues, seed", [(4, 2), (6, 8), (8, 5)])
+    def test_every_iteration_is_counted_once(self, num_dues, seed):
+        alloc, table = brute_force(gen_scenario(num_dues, seed=seed, walls_random=4))
+        z = round_association(alloc, table)
+        final = solve_fixed_association(table, z, start=alloc)
+        for a in (alloc, final):
+            st = a.stats
+            assert a.converged
+            assert st.fw_steps + st.polish_only + st.shrinks + 1 == a.iterations
+            assert st.polishes >= a.iterations // 5
+            assert st.newton_rounds >= st.polishes
+            assert st.line_search_evals >= st.fw_steps
+            assert 1 <= len(a.vertices) <= st.peak_active
 
 
 class TestSparseStart:
