@@ -1,15 +1,32 @@
-"""PF gate on fixed drops: the objectives the solver reached before the
-on-demand Newton polish, kept as constants.  A solver change may move a
-PF only within the solver tolerance, and every allocation keeps its
-certificate.  Each test prints its worst margin (visible with -s)."""
+"""Golden gates on fixed drops.
+
+PF gate: the objectives the solver reached before the on-demand Newton
+polish, kept as constants.  A solver change may move a PF only within
+the solver tolerance, and every allocation keeps its certificate.  Each
+test prints its worst margin (visible with -s).
+
+Report gate: tests/golden/reports_u6.json holds, per method of a
+four-method run_experiment, the pattern list, the associations, the
+supports of the relaxed and final x, and the PF.  Sets and supports must
+match exactly and the PF within the solver tolerance.  A change that
+moves a set or a support regenerates the file with
+`PYTHONPATH=src python tests/test_golden.py` and says why.
+"""
+
+import json
+import sys
+from pathlib import Path
 
 import pytest
 
 from d2dreuse import SolverOptions, run
-from d2dreuse.cli import gen_scenario
+from d2dreuse.cli import gen_scenario, run_experiment
 from d2dreuse.oracle import brute_force
 
 TOL = SolverOptions().tolerance
+REPORT_GOLDEN = Path(__file__).with_name("golden") / "reports_u6.json"
+REPORT_SEEDS = (0, 1, 2)
+METHODS = ("algo", "brute", "orthogonal", "bs_only")
 
 # brute_force(gen_scenario(8, seed, walls_random=4)).objective
 BRUTE_U8_PF = {
@@ -64,3 +81,51 @@ def test_run_u12_pf_and_certificates(seed):
     gaps = [check_certificate(a) for a in (rep.relaxed_allocation, rep.final_allocation)]
     print(f"PASS run U=12 seed {seed}: |PF change| {abs(rep.pf_objective - ref) / bound(ref):.2e} and worst"
           f" fw_gap {max(gaps):.2e} of the bound")
+
+
+def report_summary(seed, out_dir):
+    """Per method: the sets, supports and PF of the report file that
+    run_experiment writes for gen_scenario(6, seed, walls_random=4)."""
+    config = {"scenario": {"dues": 6, "seed": seed, "walls_random": 4}, "methods": list(METHODS)}
+    run_experiment(config, Path(out_dir))
+    summary = {}
+    for method in METHODS:
+        doc = json.loads((Path(out_dir) / f"report_{method}.json").read_text())
+        summary[method] = {
+            "patterns": doc["patterns"],
+            "associations": doc["associations"],
+            "relaxed_support": [i for i, xi in enumerate(doc["relaxed"]["x"]) if xi > 0],
+            "final_support": [i for i, xi in enumerate(doc["final"]["x"]) if xi > 0],
+            "pf_objective": doc["pf_objective"],
+        }
+    return summary
+
+
+@pytest.mark.parametrize("seed", REPORT_SEEDS)
+def test_report_sets_supports_and_pf(seed, tmp_path):
+    golden = json.loads(REPORT_GOLDEN.read_text())[str(seed)]
+    summary = report_summary(seed, tmp_path)
+    margins = []
+    for method in METHODS:
+        got, ref = summary[method], golden[method]
+        for key in ("patterns", "associations", "relaxed_support", "final_support"):
+            assert got[key] == ref[key], (method, key)
+        pf, ref_pf = got["pf_objective"], ref["pf_objective"]
+        assert abs(pf - ref_pf) <= bound(ref_pf), (method, pf, ref_pf)
+        margins.append(abs(pf - ref_pf) / bound(ref_pf))
+    print(f"PASS report U=6 seed {seed}: sets and supports equal, worst |PF change| {max(margins):.2e} of the bound")
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        goldens = {str(seed): report_summary(seed, tmp) for seed in REPORT_SEEDS}
+    REPORT_GOLDEN.parent.mkdir(exist_ok=True)
+    # one line per (seed, method), so a regenerated file diffs by method
+    seeds = [
+        f'"{seed}": {{\n' + ",\n".join(f'  "{m}": {json.dumps(v)}' for m, v in per.items()) + "\n}"
+        for seed, per in goldens.items()
+    ]
+    REPORT_GOLDEN.write_text("{" + ",\n".join(seeds) + "}\n")
+    print(f"wrote {REPORT_GOLDEN}", file=sys.stderr)
