@@ -177,6 +177,8 @@ def run_experiment(config: dict, out_dir: Path, trace: bool = False) -> tuple[di
 def _parse_seed_range(spec: str) -> list[int]:
     if ".." in spec:
         a, b = spec.split("..", 1)
+        if int(b) < int(a):
+            raise ValueError(f"seed range {spec} is empty: its end is below its start")
         return list(range(int(a), int(b) + 1))
     return [int(spec)]
 

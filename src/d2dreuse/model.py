@@ -81,8 +81,13 @@ class Scenario:
         pw = np.asarray(self.tx_power_dbm, dtype=float)
         if pw.shape != (n,):
             raise ValueError(f"tx_power_dbm must have {n} entries")
-        if not np.all(np.isfinite(pw)):
-            raise ValueError("transmit powers must be finite")
+        pl = self.pathloss
+        finite = {"positions": pos, "tx_power_dbm": pw, "bandwidth_hz": self.bandwidth_hz,
+                  "noise_psd_dbm_hz": self.noise_psd_dbm_hz, "pathloss.a": pl.a, "pathloss.b": pl.b,
+                  "pathloss.w_db": pl.w_db}
+        for name, value in finite.items():
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
         if not self.bandwidth_hz > 0:
             raise ValueError("bandwidth must be positive")
         walls = self.walls

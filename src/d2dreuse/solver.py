@@ -94,8 +94,8 @@ class Allocation:
     fw_gap: float
     iterations: int
     converged: bool
-    # ((pattern index, per-server user or -1), weight) pairs of the returned
-    # convex combination; a later solve can start from them
+    # ((pattern index, per-server user), weight) pairs of the returned convex
+    # combination; a later solve can start from them
     vertices: tuple = field(default=(), repr=False, compare=False)
     stats: SolveStats = field(default=SolveStats(), compare=False)
 
@@ -148,7 +148,7 @@ def _phi_prime(r: np.ndarray, eps: float) -> np.ndarray:
     return _phi_derivs(r, eps)[0]
 
 
-def pattern_scores(wc: np.ndarray, inv: np.ndarray, allowed: Optional[np.ndarray] = None):
+def pattern_scores(wc: np.ndarray, inv: np.ndarray):
     """Linearized PF gain of every pattern's best vertex.
 
     wc[u, n, i] is the bandwidth-weighted efficiency and inv the derivative
@@ -156,48 +156,43 @@ def pattern_scores(wc: np.ndarray, inv: np.ndarray, allowed: Optional[np.ndarray
     n adds to u's rate and, when n = 1+v is user v's relay, takes the same
     amount from v, so the weighted tensor is wc * (inv[u] - inv[v]), with
     0 in place of inv[v] for the BS.  A pattern's score is the sum over
-    servers of its best entry; with an association mask a server may stay
-    idle, so its entry is at least 0.  Returns (scores (I,), weighted
-    tensor (U, N, I)), the tensor at -inf where the mask forbids an entry.
+    servers of its best entry.  Every server has an entry of at least 0:
+    an off server's entries and a masked table's forbidden entries are 0,
+    the BS's are wc * inv[u] >= 0, and relay 1+v's entry for its own user
+    v has coefficient 0.  So no server is ever better left idle, and a
+    server with nothing to give serves a user it gives nothing to.
+    Returns (scores (I,), weighted tensor (U, N, I)).
     """
     coef = inv[:, None] - np.concatenate([[0.0], inv])[None, :]
     p = wc * coef[:, :, None]
-    if allowed is not None:
-        p = np.where(allowed, p, -np.inf)
-    per_server = p.max(axis=0)  # (N, I)
-    if allowed is not None:
-        per_server = np.maximum(per_server, 0.0)
-    return per_server.sum(axis=0), p
+    return p.max(axis=0).sum(axis=0), p
 
 
-def _lmo(wc: np.ndarray, inv: np.ndarray, allowed: Optional[np.ndarray]):
+def _lmo(wc: np.ndarray, inv: np.ndarray):
     """Best vertex for the linearized objective.
 
-    Returns (pattern index, per-server user assignment, score); a server
-    with only negative allowed entries stays idle (assignment -1).
+    Returns (pattern index, per-server user assignment, score).  Every
+    server serves the first user of largest entry; where that entry is 0
+    this is the first user the server has zero efficiency to.
     """
-    scores, p = pattern_scores(wc, inv, allowed)
+    scores, p = pattern_scores(wc, inv)
     i_star = int(np.argmax(scores))
-    col = p[:, :, i_star]  # (U, N)
-    assign = col.argmax(axis=0).astype(int)
-    if allowed is not None:
-        assign[col.max(axis=0) < 0.0] = -1
-    return i_star, tuple(int(a) for a in assign), float(scores[i_star])
+    assign = p[:, :, i_star].argmax(axis=0)
+    return i_star, tuple(assign.tolist()), float(scores[i_star])
 
 
 def _vertex_rates(wc: np.ndarray, patterns: np.ndarray, assign: np.ndarray) -> np.ndarray:
     """Effective-rate vectors of vertices, one row per vertex.
 
     Vertex k gives pattern patterns[k] all the time, with server n serving
-    user assign[n, k] (-1: idle).  What a relay server sends is subtracted
-    from the rate of the user that owns the relay.
+    user assign[n, k]; a server with zero efficiency to its user adds
+    nothing.  What a relay server sends is subtracted from the rate of the
+    user that owns the relay.
     """
     num_users, num_servers, _ = wc.shape
     num_vertices = len(patterns)
-    served = assign >= 0
-    users = np.where(served, assign, 0)
-    vals = np.where(served, wc[users, np.arange(num_servers)[:, None], patterns[None, :]], 0.0)  # (N, K)
-    rows = users + num_users * np.arange(num_vertices)[None, :]
+    vals = wc[assign, np.arange(num_servers)[:, None], patterns[None, :]]  # (N, K)
+    rows = assign + num_users * np.arange(num_vertices)[None, :]
     phi = np.bincount(rows.ravel(), weights=vals.ravel(), minlength=num_vertices * num_users)
     phi = phi.reshape(num_vertices, num_users)
     phi -= vals[1:].T
@@ -381,61 +376,52 @@ def _active_set(wc: np.ndarray, patterns: np.ndarray, assign: np.ndarray, weight
     return active
 
 
-def _sparse_start(wc: np.ndarray, allowed: Optional[np.ndarray], eps: float):
+def _sparse_start(wc: np.ndarray, eps: float):
     """The U+1 per-pattern greedy vertices of largest linearized PF gain.
 
-    A pattern's greedy vertex lets every server serve its best user (under
-    a fixed association, its best allowed user, or nobody when none has a
-    positive efficiency).  Gains are taken at the uniform mix of all these
-    vertices and ties go to the lower pattern index.  Returns the kept
-    vertices as (patterns, assign, weights), with equal weights.
+    A pattern's greedy vertex lets every server serve its user of largest
+    efficiency (user 0 when all are 0, as for an off server or a server
+    that a masked table leaves no user).  Gains are taken at the uniform
+    mix of all these vertices and ties go to the lower pattern index.
+    Returns the kept vertices as (patterns, assign, weights), with equal
+    weights.
     """
     num_users, _, num_patterns = wc.shape
-    col = wc if allowed is None else np.where(allowed, wc, -np.inf)
-    assign = col.argmax(axis=0)  # (N, I)
-    if allowed is not None:
-        assign[col.max(axis=0) <= 0.0] = -1
+    assign = wc.argmax(axis=0)  # (N, I)
     phi = _vertex_rates(wc, np.arange(num_patterns), assign)
     gain = phi @ _phi_prime(phi.mean(axis=0), eps)
     keep = np.argsort(-gain, kind="stable")[: num_users + 1]
     return keep, assign[:, keep], np.full(len(keep), 1.0 / len(keep))
 
 
-def _warm_start(vertices: tuple, allowed: Optional[np.ndarray]):
-    """An earlier solution's vertices as (patterns, assign, weights).
+def _warm_start(vertices: tuple, wc: np.ndarray):
+    """An earlier solution's vertices, on the table wc, as (patterns,
+    assign, weights).
 
-    With an association mask, a server whose user the mask forbids goes
-    idle.
+    A server with zero efficiency to its user in wc (one whose user a
+    masked table forbids) is recorded as serving the first user it has
+    zero efficiency to, the user the oracle picks when its best entry is
+    0, so that one vertex is not held twice under two keys.
     """
     patterns = np.array([i for (i, _), _ in vertices])
     assign = np.array([a for (_, a), _ in vertices]).T  # (N, K)
-    if allowed is not None:
-        servers = np.arange(assign.shape[0])[:, None]
-        ok = (assign >= 0) & allowed[np.maximum(assign, 0), servers, patterns[None, :]]
-        assign = np.where(ok, assign, -1)
+    servers = np.arange(assign.shape[0])[:, None]
+    first_zero = (wc[:, servers, patterns[None, :]] == 0).argmax(axis=0)  # (N, K)
+    assign = np.where(wc[assign, servers, patterns[None, :]] == 0, first_zero, assign)
     return patterns, assign, np.array([w for _, w in vertices])
 
 
-def _fw_solve(
-    rate_table: RateTable,
-    options: SolverOptions,
-    allowed: Optional[np.ndarray] = None,
-    start: tuple = (),
-) -> Allocation:
+def _fw_solve(rate_table: RateTable, options: SolverOptions, start: tuple = ()) -> Allocation:
     wc = rate_table.bandwidth_hz * rate_table.c
-    if allowed is not None:
-        usable = (wc > 0) & allowed
-    else:
-        usable = wc > 0
-    if not np.all(usable.any(axis=(1, 2))):
+    if not np.all((wc > 0).any(axis=(1, 2))):
         raise InfeasibleError("a user has no positive-efficiency link under this pattern set")
 
     tol = options.tolerance
     eps = 1e-8 * float(wc.max())
     if start:
-        active = _active_set(wc, *_warm_start(start, allowed))
+        active = _active_set(wc, *_warm_start(start, wc))
     else:
-        active = _active_set(wc, *_sparse_start(wc, allowed, eps))
+        active = _active_set(wc, *_sparse_start(wc, eps))
     active.normalize()
 
     counts = dict.fromkeys(
@@ -454,14 +440,14 @@ def _fw_solve(
         inv = _phi_prime(r, eps)
         obj = float(_phi(r, eps).sum())
 
-        i_star, assign, score = _lmo(wc, inv, allowed)
+        i_star, assign, score = _lmo(wc, inv)
         gap_fw = score - float(np.dot(inv, r))
 
         if gap_fw <= tol * max(abs(obj), 1.0):
             if min_r >= eps:
                 # exit on the certificate that is returned, whose rates are
                 # recomputed from (x, y) and may differ in the last bits
-                alloc = _assemble(rate_table, active, it, True, allowed, counts)
+                alloc = _assemble(rate_table, active, it, True, counts)
                 if alloc.fw_gap <= tol * max(abs(alloc.objective), 1.0):
                     return alloc
             else:
@@ -496,32 +482,24 @@ def _fw_solve(
     r = active.rates()
     if float(r.min()) <= 0.0:
         raise InfeasibleError("no strictly positive effective-rate point found")
-    return _assemble(rate_table, active, it, False, allowed, counts)
+    return _assemble(rate_table, active, it, False, counts)
 
 
-def _assemble(
-    rate_table: RateTable,
-    active: _ActiveSet,
-    iterations: int,
-    converged: bool,
-    allowed: Optional[np.ndarray],
-    counts: dict,
-) -> Allocation:
+def _assemble(rate_table: RateTable, active: _ActiveSet, iterations: int, converged: bool, counts: dict) -> Allocation:
     num_users, num_servers, num_patterns = rate_table.c.shape
     x = np.zeros(num_patterns)
     y = np.zeros((num_users, num_servers, num_patterns))
+    servers = np.arange(num_servers)
     for idx, (i, assign) in enumerate(active.keys):
         w = float(active.w[idx])
         x[i] += w
-        for n, u in enumerate(assign):
-            if u >= 0:
-                y[u, n, i] += w
+        y[list(assign), servers, i] += w
     rates = rates_from_allocation(rate_table, y)
     objective = float(np.log(rates.r_eff).sum())
     # certificate with the exact gradient at the returned point
     wc = rate_table.bandwidth_hz * rate_table.c
     inv = 1.0 / rates.r_eff
-    score = float(pattern_scores(wc, inv, allowed)[0].max())
+    score = float(pattern_scores(wc, inv)[0].max())
     fw_gap = score - float(np.dot(inv, rates.r_eff))
     vertices = tuple((key, float(w)) for key, w in zip(active.keys, active.w))
     return Allocation(
@@ -551,22 +529,25 @@ def solve_fixed_association(
 ) -> Allocation:
     """PF allocation with a frozen single-server association.
 
-    z[u, n, i] is a one-hot server choice per (user, pattern).  Time shares
-    obey the one-sided cap per server and pattern: with z fixed a server
-    may end up with no profitable user under some pattern and then stays
-    idle for that slice.  With start given (an allocation on the same
-    table, typically the relaxed one that z was rounded from), the solve
-    begins at its vertices with every server that z does not associate to
-    its user left idle; iterations then count from that point.
+    z[u, n, i] is a binary, one-hot server choice per (user, pattern).  The
+    relaxed problem is solved on the table masked by z, whose forbidden
+    entries are 0, and the returned y is restricted to z.  Time shares obey
+    the one-sided cap per server and pattern: a server with no profitable
+    user under some pattern serves one it has zero efficiency to, which
+    the restriction removes, so its y column sums to less than the pattern
+    share.  With start given (an allocation on the same table, typically
+    the relaxed one that z was rounded from), the solve begins at its
+    vertices; iterations then count from that point.
     """
     z = np.asarray(z)
     if z.shape != rate_table.c.shape:
         raise ValueError("z must match the rate table shape")
-    sums = z.sum(axis=1)
-    if not np.all(sums == 1):
+    if not np.all((z == 0) | (z == 1)):
+        raise ValueError("z must hold only 0 and 1")
+    if not np.all(z.sum(axis=1) == 1):
         raise ValueError("each (user, pattern) must be associated to exactly one server")
     if start is not None and start.x.shape != (rate_table.num_patterns,):
         raise ValueError("start must be an allocation on the same rate table")
-    mask = z.astype(bool)
-    vertices = start.vertices if start is not None else ()
-    return _fw_solve(rate_table, options, allowed=mask, start=vertices)
+    masked = RateTable(rate_table.patterns, rate_table.c * z, rate_table.bandwidth_hz)
+    alloc = _fw_solve(masked, options, start=start.vertices if start is not None else ())
+    return dataclasses.replace(alloc, y=alloc.y * z)

@@ -12,7 +12,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["exhaustive-u8", "experiment-u6"])
+@pytest.mark.parametrize("workload", ["exhaustive-u8", "experiment-u6", "select-u12"])
 def test_traced_run_reaches_every_layer(workload):
     cmd = [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
            "--seed", "1", "--seconds", "1", "--trace", "1"]

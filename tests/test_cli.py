@@ -15,6 +15,17 @@ from d2dreuse.cli import (
 from d2dreuse.model import Rates
 
 
+def scenario_doc(path, value):
+    """A two-DUE scenario file's dict with the entry at path set to value."""
+    doc = gen_scenario(2, seed=1).to_dict()
+    *keys, last = path
+    node = doc
+    for key in keys:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
 def make_rates(values_bps):
     r = np.asarray(values_bps, dtype=float)
     return Rates(r_bar=r, r_tilde=np.zeros(len(r) + 1), r_eff=r)
@@ -201,6 +212,12 @@ class TestMain:
         ({"num_bs": 1}, "scenario num_due is required"),
         ({**gen_scenario(2, seed=1).to_dict(), "num_due": "2"}, 'scenario num_due must be an integer, got "2"'),
         ({**gen_scenario(2, seed=1).to_dict(), "num_bs": 2}, "scenario num_bs must be 1, got 2"),
+        # json writes these as NaN and Infinity, which load as numbers; the model refuses them
+        (scenario_doc(("positions_m", 1, 0), float("nan")), "positions must be finite"),
+        (scenario_doc(("positions_m", 2, 1), 1e400), "positions must be finite"),
+        (scenario_doc(("pathloss", "a"), float("nan")), "pathloss.a must be finite"),
+        (scenario_doc(("pathloss", "w_db"), -1e400), "pathloss.w_db must be finite"),
+        (scenario_doc(("noise_psd_dbm_hz",), float("nan")), "noise_psd_dbm_hz must be finite"),
     ])
     def test_malformed_scenario_file_is_an_error(self, tmp_path, capsys, doc, message):
         (tmp_path / "scenario.json").write_text(json.dumps(doc))
@@ -229,3 +246,5 @@ class TestMain:
         assert main(["run", "--config", str(tmp_path / "missing.json")]) == 1
         assert main(["gen", "--dues", "0", "--seed", "1", "--out", str(tmp_path / "s.json")]) == 1
         assert main(["frobnicate"]) == 1
+        assert main(["compare", "--seeds", "5..3", "--dues", "2", "--out", str(tmp_path / "c.csv")]) == 1
+        assert not (tmp_path / "c.csv").exists()

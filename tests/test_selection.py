@@ -167,7 +167,7 @@ class TestScorePattern:
                 assert abs(scores[k] - ref) <= summation_bound(sc, gains, cand, alloc.rates)
         # the best table score is the score of the Frank-Wolfe oracle's vertex
         wc = table.bandwidth_hz * table.c
-        i_star, _, lmo_score = _lmo(wc, 1.0 / alloc.rates.r_eff, None)
+        i_star, _, lmo_score = _lmo(wc, 1.0 / alloc.rates.r_eff)
         assert int(np.argmax(scores)) == i_star
         assert scores.max() == lmo_score
 

@@ -191,8 +191,6 @@ def vertex_rates_loop(wc, i, assign):
     relay server n belongs to user n - 1."""
     phi = np.zeros(wc.shape[0])
     for n, u in enumerate(assign):
-        if u < 0:
-            continue
         phi[u] += wc[u, n, i]
         if n >= 1:
             phi[n - 1] -= wc[u, n, i]
@@ -204,7 +202,7 @@ class TestVertexRates:
         rng = np.random.default_rng(17)
         wc = rng.uniform(0.0, 1e8, size=(5, 6, 9))
         patterns = rng.integers(0, 9, size=12)
-        assign = rng.integers(-1, 5, size=(6, 12))
+        assign = rng.integers(0, 5, size=(6, 12))
         phi = _vertex_rates(wc, patterns, assign)
         for k in range(12):
             ref = vertex_rates_loop(wc, patterns[k], assign[:, k])
@@ -233,7 +231,7 @@ class TestCorrectiveNewton:
         alloc, table = brute_force(sc)
         wc = table.bandwidth_hz * table.c
         eps = 1e-8 * float(wc.max())
-        active = _active_set(wc, *_warm_start(alloc.vertices, None))
+        active = _active_set(wc, *_warm_start(alloc.vertices, wc))
         active.normalize()
         _corrective_newton(active, eps)  # polish the weights to the optimum
         w = active.w[: len(active)].copy()
@@ -301,7 +299,7 @@ class TestSparseStart:
         c[1, 0, :] = 1.0
         c[1, 2, :] = 3.0
         wc = 2e7 * c
-        patterns, assign, weights = _sparse_start(wc, None, 1e-8 * wc.max())
+        patterns, assign, weights = _sparse_start(wc, 1e-8 * wc.max())
         assert patterns.tolist() == [0, 1, 2]
         assert assign.tolist() == [[0, 0, 0], [0, 0, 0], [1, 1, 1]]
         assert weights == pytest.approx([1 / 3] * 3)
@@ -507,6 +505,8 @@ class TestSolveFixedAssociation:
             solve_fixed_association(table, np.ones((1, 2, 1), dtype=int))
         with pytest.raises(ValueError):
             solve_fixed_association(table, np.zeros((2, 2, 1), dtype=int))
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            solve_fixed_association(table, np.array([2, -1]).reshape(1, 2, 1))  # sums to 1
 
     def test_warm_start_matches_cold_start(self):
         tol = SolverOptions().tolerance
