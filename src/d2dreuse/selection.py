@@ -25,6 +25,8 @@ class SelectionOptions:
     def __post_init__(self) -> None:
         if not (0 < self.eps1 < 1 and 0 < self.eps2 < 1):
             raise ValueError("eps1 and eps2 must lie in (0, 1)")
+        if not self.max_outer_iters >= 1:
+            raise ValueError("max_outer_iters must be at least 1")
 
 
 @dataclass

@@ -18,10 +18,14 @@ zero weight and so keeps the active set small.
 The start is sparse: an optimum needs only about U active patterns
 (Caratheodory), so the solve begins from the U+1 per-pattern greedy
 vertices with the largest linearized gain at the uniform mix of all of
-them, and the oracle brings in any other vertex it needs.  This keeps the
-active set, and with it the corrective Newton system over the vertex
-weights, near U+1 however many patterns the table holds.  A caller may
-instead start from the vertices of an earlier solution.
+them, and the oracle brings in any other vertex it needs.  Relaying is
+zero-sum in effective rate (what a relay forwards comes out of its
+owner's rate), so that mix can leave users under the rate floor; each
+such user with a BS link gets one more start vertex in which the BS
+serves it and no one is drained.  This keeps the active set, and with it
+the corrective Newton system over the vertex weights, small however many
+patterns the table holds.  A caller may instead start from the vertices
+of an earlier solution.
 
 Strict rate positivity is handled with a tangent-extended logarithm: below
 a small rate floor the log is continued linearly, which keeps the
@@ -376,22 +380,53 @@ def _active_set(wc: np.ndarray, patterns: np.ndarray, assign: np.ndarray, weight
     return active
 
 
+def _first_zero(wc: np.ndarray, patterns: np.ndarray) -> np.ndarray:
+    """First user each server has zero efficiency to under patterns[k],
+    shape (N, K).
+
+    This is the user the oracle gives a server whose best entry is 0, so a
+    vertex that records its idle servers this way is held under the
+    oracle's key.
+    """
+    servers = np.arange(wc.shape[1])[:, None]
+    return (wc[:, servers, patterns[None, :]] == 0).argmax(axis=0)
+
+
 def _sparse_start(wc: np.ndarray, eps: float):
-    """The U+1 per-pattern greedy vertices of largest linearized PF gain.
+    """The U+1 per-pattern greedy vertices of largest linearized PF gain,
+    plus a drain-free cover vertex for each user they leave starved.
 
     A pattern's greedy vertex lets every server serve its user of largest
     efficiency (user 0 when all are 0, as for an off server or a server
     that a masked table leaves no user).  Gains are taken at the uniform
     mix of all these vertices and ties go to the lower pattern index.
-    Returns the kept vertices as (patterns, assign, weights), with equal
-    weights.
+
+    Relaying is zero-sum in effective rate: what a relay forwards to
+    another user comes out of its owner's rate.  So the uniform mix of the
+    kept vertices can leave users under the rate floor eps, and a solve
+    that starts there spends its first line searches and Newton rounds
+    climbing off the floor.  For each such user with a positive BS entry
+    somewhere in the table, a cover vertex is added: the BS serves that
+    user on the pattern of its largest BS efficiency, and every other
+    server serves the first user it has zero efficiency to, so the vertex
+    drains no one.  Returns the vertices as (patterns, assign, weights),
+    with equal weights.
     """
     num_users, _, num_patterns = wc.shape
     assign = wc.argmax(axis=0)  # (N, I)
     phi = _vertex_rates(wc, np.arange(num_patterns), assign)
     gain = phi @ _phi_prime(phi.mean(axis=0), eps)
-    keep = np.argsort(-gain, kind="stable")[: num_users + 1]
-    return keep, assign[:, keep], np.full(len(keep), 1.0 / len(keep))
+    patterns = np.argsort(-gain, kind="stable")[: num_users + 1]
+    assign = assign[:, patterns]
+    bs = wc[:, 0, :]  # (U, I)
+    starved = np.flatnonzero((phi[patterns].mean(axis=0) < eps) & (bs.max(axis=1) > 0))
+    if len(starved):
+        cover = bs[starved].argmax(axis=1)
+        cover_assign = _first_zero(wc, cover)
+        cover_assign[0] = starved
+        patterns = np.concatenate([patterns, cover])
+        assign = np.concatenate([assign, cover_assign], axis=1)
+    return patterns, assign, np.full(len(patterns), 1.0 / len(patterns))
 
 
 def _warm_start(vertices: tuple, wc: np.ndarray):
@@ -400,14 +435,13 @@ def _warm_start(vertices: tuple, wc: np.ndarray):
 
     A server with zero efficiency to its user in wc (one whose user a
     masked table forbids) is recorded as serving the first user it has
-    zero efficiency to, the user the oracle picks when its best entry is
-    0, so that one vertex is not held twice under two keys.
+    zero efficiency to (_first_zero), so that one vertex is not held twice
+    under two keys.
     """
     patterns = np.array([i for (i, _), _ in vertices])
     assign = np.array([a for (_, a), _ in vertices]).T  # (N, K)
     servers = np.arange(assign.shape[0])[:, None]
-    first_zero = (wc[:, servers, patterns[None, :]] == 0).argmax(axis=0)  # (N, K)
-    assign = np.where(wc[assign, servers, patterns[None, :]] == 0, first_zero, assign)
+    assign = np.where(wc[assign, servers, patterns[None, :]] == 0, _first_zero(wc, patterns), assign)
     return patterns, assign, np.array([w for _, w in vertices])
 
 

@@ -197,6 +197,7 @@ class TestMain:
         ({"output_dir": 5}, "config output_dir must be a string"),
         ([1, 2], "config must be an object"),
         ({"scenario": {"dues": 2, "seed": 1, "num_bs": 1}}, "unknown scenario option(s) in config: num_bs"),
+        ({"selection": {"max_outer_iters": -2}}, "max_outer_iters must be at least 1"),
     ])
     def test_malformed_config_is_an_error(self, tmp_path, capsys, config, message):
         if isinstance(config, dict):

@@ -40,7 +40,8 @@ class TestBruteForce:
             brute_force(sc)
 
     def test_ten_dues_converge_with_certificate(self):
-        # 2047 patterns; the sparse start keeps the active set near U+1
+        # 2047 patterns; from the sparse start (U+1 greedy vertices and the
+        # starved users' covers) the active set peaks at 19 vertices
         sc = gen_scenario(10, seed=5)
         alloc, table = brute_force(sc)
         assert table.num_patterns == 2047

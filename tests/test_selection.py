@@ -313,6 +313,12 @@ def round_association_from(table, y):
 
 
 class TestRun:
+    def test_options_reject_outer_iteration_budget_below_one(self):
+        for bad in (0, -2):
+            with pytest.raises(ValueError, match="max_outer_iters must be at least 1"):
+                SelectionOptions(max_outer_iters=bad)
+        assert SelectionOptions(max_outer_iters=1).max_outer_iters == 1
+
     def test_blocked_scenario_report(self):
         sc = blocked_scenario(4, seed=31)
         rep = run(sc)

@@ -272,8 +272,8 @@ class TestSolveStats:
         alloc, table = brute_force(gen_scenario(5, seed=1, walls_random=4))
         assert alloc.iterations == 12
         assert alloc.stats == SolveStats(
-            fw_steps=8, polish_only=3, polishes=4, newton_rounds=25, dropped=9, line_search_evals=61,
-            shrinks=0, peak_active=10,
+            fw_steps=9, polish_only=2, polishes=4, newton_rounds=28, dropped=12, line_search_evals=55,
+            shrinks=0, peak_active=12,
         )
         assert alloc.to_dict(table)["stats"] == dataclasses.asdict(alloc.stats)
 
@@ -293,16 +293,68 @@ class TestSolveStats:
 
 
 class TestSparseStart:
-    def test_keeps_u_plus_one_vertices_ties_to_lower_index(self):
+    @staticmethod
+    def drained_table():
+        """Pattern 0 has the BS alone on; in patterns 1-5 user 1's relay
+        (server 2) also forwards to user 0.  User 1's only link is the BS's,
+        so every greedy vertex but pattern 0's drains user 1."""
         c = np.zeros((2, 3, 6))
         c[0, 0, :] = 2.0
         c[1, 0, :] = 1.0
-        c[1, 2, :] = 3.0
-        wc = 2e7 * c
+        c[0, 2, 1:] = 3.0
+        return 2e7 * c
+
+    def test_keeps_u_plus_one_vertices_ties_to_lower_index(self):
+        wc = self.drained_table()
         patterns, assign, weights = _sparse_start(wc, 1e-8 * wc.max())
+        # greedy vertices 0, 1, 2 leave user 1 at rate -4e7 in their mix;
+        # the cover lets the BS serve user 1 on pattern 0 and drains no one
+        assert patterns.tolist() == [0, 1, 2, 0]
+        assert assign.tolist() == [[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]]
+        assert weights == pytest.approx([1 / 4] * 4)
+        phi = _vertex_rates(wc, patterns, assign)
+        assert phi[3].tolist() == [0.0, 2e7]
+
+    def test_starved_user_without_a_bs_entry_gets_no_cover(self):
+        # user 1's only link is user 0's relay, whose greedy choice is user 0
+        c = np.zeros((2, 3, 4))
+        c[0, 0, :] = 2.0
+        c[0, 1, :] = 3.0
+        c[1, 1, :] = 1.0
+        wc = 2e7 * c
+        eps = 1e-8 * wc.max()
+        patterns, assign, weights = _sparse_start(wc, eps)
+        assert _vertex_rates(wc, patterns, assign).mean(axis=0)[1] < eps
         assert patterns.tolist() == [0, 1, 2]
-        assert assign.tolist() == [[0, 0, 0], [0, 0, 0], [1, 1, 1]]
+        assert assign.tolist() == [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
         assert weights == pytest.approx([1 / 3] * 3)
+
+    def test_without_starved_users_the_start_is_the_greedy_set(self):
+        wc = self.drained_table()
+        wc[1, 0, :] *= 10.0  # the BS now covers user 1 in every greedy vertex
+        eps = 1e-8 * wc.max()
+        patterns, assign, weights = _sparse_start(wc, eps)
+        greedy = wc.argmax(axis=0)
+        phi = _vertex_rates(wc, np.arange(6), greedy)
+        keep = np.argsort(-(phi @ _phi_prime(phi.mean(axis=0), eps)), kind="stable")[:3]
+        assert np.all(_vertex_rates(wc, patterns, assign).mean(axis=0) >= eps)
+        assert patterns.tolist() == keep.tolist()
+        assert np.array_equal(assign, greedy[:, keep])
+        assert weights == pytest.approx([1 / 3] * 3)
+
+    def test_warm_start_keeps_the_keys_of_a_solution(self):
+        # every start vertex is held under the oracle's key, so a solution's
+        # vertices come back unchanged
+        covered = 0
+        for seed in range(10):
+            alloc, table = brute_force(gen_scenario(8, seed=seed, walls_random=4))
+            wc = table.bandwidth_hz * table.c
+            covered += len(_sparse_start(wc, 1e-8 * wc.max())[0]) > 9
+            patterns, assign, weights = _warm_start(alloc.vertices, wc)
+            keys = [(int(i), tuple(a)) for i, a in zip(patterns, assign.T.tolist())]
+            assert keys == [key for key, _ in alloc.vertices]
+            assert weights.tolist() == [w for _, w in alloc.vertices]
+        assert covered == 10  # every one of these starts holds cover vertices
 
     def test_pattern_order_does_not_change_the_optimum(self):
         tol = SolverOptions().tolerance
@@ -322,8 +374,8 @@ class TestSparseStart:
 
 class TestStepDesign:
     # Frank-Wolfe steps alone zig-zag on the vertex weights; the corrective
-    # Newton polish is what ends each solve.  These drops took 5, 10 and
-    # 15 iterations; without the polish none converges in 20,000.
+    # Newton polish is what ends each solve.  These drops took 5, 7 and
+    # 10 iterations; without the polish none converges in 20,000.
     ITER_BOUND = 100
 
     @pytest.mark.parametrize("num_dues", [3, 4, 6])
