@@ -8,14 +8,13 @@ import csv
 import dataclasses
 import hashlib
 import json
-import numbers
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import oracle
-from .model import Rates, Scenario
+from .model import Scenario, read_json
 from .oracle import brute_report
 from .selection import SelectionOptions, SolveReport, run as run_selection
 from .solver import InfeasibleError, SolverOptions
@@ -25,15 +24,6 @@ BS_POWER_DBM = 30.0
 DUE_POWER_DBM = 20.0
 
 METHODS = ("algo", "brute", "orthogonal", "bs_only")
-
-
-def metrics(rates: Rates) -> dict:
-    """Geometric-mean throughput (Mbps) and the PF objective."""
-    r = np.asarray(rates.r_eff, dtype=float)
-    if np.any(r <= 0):
-        raise ValueError("metrics require strictly positive effective rates")
-    logs = np.log(r)
-    return {"gm_mbps": float(np.exp(logs.mean()) / 1e6), "pf": float(logs.sum())}
 
 
 def gen_scenario(num_due: int, seed: int, walls_random: int = 0) -> Scenario:
@@ -60,48 +50,28 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _config_section(config: dict, name: str, keys) -> dict:
-    """The config's `name` section; a key outside `keys` is an error."""
-    section = config.get(name, {})
-    if not isinstance(section, dict):
-        raise ValueError(f"config section {name} must be an object")
-    unknown = sorted(set(section) - set(keys))
-    if unknown:
-        raise ValueError(f"unknown {name} option(s) in config: {', '.join(unknown)}")
-    return section
+def _option_kinds(cls) -> dict:
+    """The numeric fields of an options dataclass, as read_json kinds."""
+    return {f.name: type(f.default) for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
 
 
-def _config_number(section: dict, name: str, key: str, kind: type, default=None):
-    """section[key] as kind (float or int), or default when absent; a missing
-    required key or a value that is not a JSON number of that kind is an error."""
-    if key not in section and default is None:
-        raise ValueError(f"config {name}.{key} is required")
-    value = section.get(key, default)
-    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not number or (kind is int and not float(value).is_integer()):
-        what = "an integer" if kind is int else "a number"
-        raise ValueError(f"config {name}.{key} must be {what}, got {json.dumps(value, default=repr)}")
-    return kind(value)
+# The keys of a run config; "scenario" is a scenario file's path or the
+# section read by _load_scenario.
+CONFIG_KEYS = {
+    "scenario": None,
+    "methods": None,
+    "solver": _option_kinds(SolverOptions),
+    "selection": _option_kinds(SelectionOptions),
+    "output_dir": str,
+}
 
 
-def _load_scenario(config: dict) -> Scenario:
-    if isinstance(config.get("scenario"), str):
-        return Scenario.load(config["scenario"])
-    src = _config_section(config, "scenario", ("dues", "seed", "walls_random"))
-    return gen_scenario(
-        num_due=_config_number(src, "scenario", "dues", int),
-        seed=_config_number(src, "scenario", "seed", int),
-        walls_random=_config_number(src, "scenario", "walls_random", int, 0),
-    )
-
-
-def _options(cls, config: dict, name: str, **fixed):
-    """cls from the config's `name` section: each key names a field of cls
-    and is converted to the type of that field's default."""
-    defaults = {f.name: f.default for f in dataclasses.fields(cls) if f.name not in fixed}
-    section = _config_section(config, name, defaults)
-    values = {key: _config_number(section, name, key, type(defaults[key])) for key in section}
-    return cls(**values, **fixed)
+def _load_scenario(spec) -> Scenario:
+    if isinstance(spec, str):
+        return Scenario.load(spec)
+    kinds = {"dues": int, "seed": int, "walls_random": int}
+    src = read_json(spec, kinds, "config", "scenario", required=("dues", "seed"))
+    return gen_scenario(src["dues"], src["seed"], src.get("walls_random", 0))
 
 
 def run_experiment(config: dict, out_dir: Path, trace: bool = False) -> tuple[dict, list[str]]:
@@ -109,10 +79,11 @@ def run_experiment(config: dict, out_dir: Path, trace: bool = False) -> tuple[di
 
     Returns (per-method reports, names of methods that were infeasible).
     """
-    scenario = _load_scenario(config)
-    solver_opts = _options(SolverOptions, config, "solver")
-    selection_opts = _options(SelectionOptions, config, "selection", solver=solver_opts)
-    methods = config.get("methods", ["algo"])
+    values = read_json(config, CONFIG_KEYS, "config")
+    scenario = _load_scenario(values.get("scenario", {}))
+    solver_opts = SolverOptions(**values.get("solver", {}))
+    selection_opts = SelectionOptions(**values.get("selection", {}), solver=solver_opts)
+    methods = values.get("methods", ["algo"])
     if not isinstance(methods, list) or not methods or any(m not in METHODS for m in methods):
         raise ValueError(f"methods must be a nonempty subset of {METHODS}, got {methods}")
     chash = config_hash(config)
@@ -221,13 +192,9 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "run":
             config = json.loads(args.config.read_text())
-            if not isinstance(config, dict):
-                raise ValueError("config must be an object")
+            output_dir = read_json(config, CONFIG_KEYS, "config").get("output_dir", "out")
             if args.methods:
                 config["methods"] = [m.replace("-", "_") for m in args.methods.split(",")]
-            output_dir = config.get("output_dir", "out")
-            if not isinstance(output_dir, str):
-                raise ValueError("config output_dir must be a string")
             out_dir = args.out_dir or Path(output_dir)
             _, infeasible = run_experiment(config, out_dir, trace=args.trace)
             for m in infeasible:

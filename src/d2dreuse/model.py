@@ -8,7 +8,7 @@ of user u, so N = 1 + U.  User u receives at node 1+u.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -30,28 +30,73 @@ class PathLossParams:
     w_db: float = 5.0
 
 
-_FIELD_KINDS = {int: ("iu", "an integer", "integers"), float: ("iuf", "a number", "numbers")}
+# JSON kinds that read_json checks: numpy dtype kinds, then their wording
+_JSON_KINDS = {int: ("iu", "an integer", "integers"), float: ("iuf", "a number", "numbers"),
+               str: ("U", "a string", "strings")}
 
 
-def _field(d: dict, key: str, kind: type, default=None, prefix: str = "", array: bool = False) -> np.ndarray:
-    """d[key] as a numpy scalar, or array, of JSON integers (kind int) or
-    numbers (kind float); default when the key is absent and default is
-    given.  A missing key or a value of another type is a ValueError
-    naming the key."""
-    name = f"scenario {prefix}{key}"
-    if key not in d:
-        if default is None:
-            raise ValueError(f"{name} is required")
-        return np.asarray(default)
-    dtype_kinds, one, many = _FIELD_KINDS[kind]
+def _json_value(value, kind, name: str):
+    """value as kind (int, float or str), or as a numpy array of kind [int]
+    or [float]; a JSON value of another kind is a ValueError naming name."""
+    array = isinstance(kind, list)
+    base = kind[0] if array else kind
+    dtype_kinds, one, many = _JSON_KINDS[base]
     try:
-        value = np.asarray(d[key])
+        arr = np.asarray(value)
     except ValueError:  # ragged nesting
-        value = np.asarray(None)
-    if value.dtype.kind not in dtype_kinds or (value.ndim > 0) != array:
+        arr = np.asarray(None)
+    if arr.dtype.kind not in dtype_kinds or (arr.ndim > 0) != array:
         what = f"an array of {many}" if array else one
-        raise ValueError(f"{name} must be {what}, got {json.dumps(d[key], default=repr)[:60]}")
-    return value
+        raise ValueError(f"{name} must be {what}, got {json.dumps(value, default=repr)[:60]}")
+    return arr.astype(base) if array else base(value)
+
+
+def read_json(obj, kinds: dict, name: str, section: str | None = None, required=(), nullable=()) -> dict:
+    """The entries of obj, a JSON object named name ("scenario", "config"),
+    or its section `section`, checked against kinds.
+
+    kinds maps every key that obj may hold to the kind of its value: int,
+    float or str for a JSON integer, number or string, [int] or [float] for
+    an array of integers or numbers, a dict of kinds for a section, or None
+    for a value that the caller checks.  Values come back as Python scalars,
+    numpy arrays and dicts.  A key in nullable may be null, which reads as
+    absent.  A value that is not an object, an unknown key, a missing
+    required key or a value of another kind is a ValueError that names the
+    key, as in "config solver.max_iters must be an integer, got 2.5".
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name} section {section} must be an object" if section else f"{name} must be an object")
+    unknown = sorted(set(obj) - set(kinds))
+    if unknown:
+        what = f"{section} option(s)" if section else "option(s)"
+        raise ValueError(f"unknown {what} in {name}: {', '.join(unknown)}")
+    prefix = f"{name} {section}." if section else f"{name} "
+    out = {}
+    for key, kind in kinds.items():
+        value = obj.get(key)
+        if key not in obj or value is None and key in nullable:
+            if key in required:
+                raise ValueError(f"{prefix}{key} is required")
+        elif isinstance(kind, dict):
+            out[key] = read_json(value, kind, name, key)
+        else:
+            out[key] = value if kind is None else _json_value(value, kind, prefix + key)
+    return out
+
+
+# The keys of a scenario file, in the order to_dict writes them: the
+# Scenario field that each one holds and the kind of its JSON value (see
+# read_json).  A file may also hold "num_bs": 1, which earlier versions wrote.
+SCENARIO_KEYS = {
+    "num_due": ("num_due", int),
+    "positions_m": ("positions", [float]),
+    "tx_power_dbm": ("tx_power_dbm", [float]),
+    "bandwidth_hz": ("bandwidth_hz", float),
+    "noise_psd_dbm_hz": ("noise_psd_dbm_hz", float),
+    "pathloss": ("pathloss", {f.name: float for f in fields(PathLossParams)}),
+    "walls": ("walls", [int]),
+    "seed": ("seed", int),
+}
 
 
 @dataclass(frozen=True)
@@ -111,42 +156,23 @@ class Scenario:
         return dbm_to_watts(self.tx_power_dbm)
 
     def to_dict(self) -> dict:
-        return {
-            "num_due": self.num_due,
-            "positions_m": self.positions.tolist(),
-            "tx_power_dbm": self.tx_power_dbm.tolist(),
-            "bandwidth_hz": self.bandwidth_hz,
-            "noise_psd_dbm_hz": self.noise_psd_dbm_hz,
-            "pathloss": {"a": self.pathloss.a, "b": self.pathloss.b, "w_db": self.pathloss.w_db},
-            "walls": self.walls.tolist(),
-            "seed": self.seed,
-        }
+        doc = {key: getattr(self, attr) for key, (attr, _) in SCENARIO_KEYS.items()}
+        doc["pathloss"] = asdict(self.pathloss)
+        return {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in doc.items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
-        """Inverse of to_dict; a missing key or a value of the wrong type is
-        a ValueError naming the key.  The BS count that earlier versions
-        wrote is accepted only as 1."""
-        if not isinstance(d, dict):
-            raise ValueError("scenario must be an object")
-        pl = d.get("pathloss", {})
-        if not isinstance(pl, dict):
-            raise ValueError("scenario pathloss must be an object")
-        if int(_field(d, "num_bs", int, 1)) != 1:
+        """Inverse of to_dict; an unknown or missing key or a value of the
+        wrong type is a ValueError naming the key.  The BS count that
+        earlier versions wrote is accepted only as 1."""
+        kinds = {key: kind for key, (_, kind) in SCENARIO_KEYS.items()}
+        values = read_json(d, {**kinds, "num_bs": int}, "scenario",
+                           required=("num_due", "positions_m", "tx_power_dbm"), nullable=("walls", "seed"))
+        if values.pop("num_bs", 1) != 1:
             raise ValueError(f"scenario num_bs must be 1, got {json.dumps(d['num_bs'])}")
-        default_pl = PathLossParams()
-        return cls(
-            num_due=int(_field(d, "num_due", int)),
-            positions=_field(d, "positions_m", float, array=True).astype(float),
-            tx_power_dbm=_field(d, "tx_power_dbm", float, array=True).astype(float),
-            bandwidth_hz=float(_field(d, "bandwidth_hz", float, 2.0e7)),
-            noise_psd_dbm_hz=float(_field(d, "noise_psd_dbm_hz", float, -174.0)),
-            pathloss=PathLossParams(
-                **{k: float(_field(pl, k, float, getattr(default_pl, k), "pathloss.")) for k in ("a", "b", "w_db")}
-            ),
-            walls=None if d.get("walls") is None else _field(d, "walls", int, array=True),
-            seed=None if d.get("seed") is None else int(_field(d, "seed", int)),
-        )
+        if "pathloss" in values:
+            values["pathloss"] = PathLossParams(**values["pathloss"])
+        return cls(**{SCENARIO_KEYS[key][0]: value for key, value in values.items()})
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")

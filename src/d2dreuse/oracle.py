@@ -49,9 +49,7 @@ def brute_report(scenario: Scenario, solver_options: SolverOptions) -> SolveRepo
     gains = build_gains(scenario)
     pattern_set = PatternSet(table.patterns)
     flags = {"converged": alloc.converged}
-    return make_report(
-        "brute", scenario, gains, pattern_set, alloc, z, alloc, [alloc.objective], [len(pattern_set)], flags, t0
-    )
+    return make_report("brute", gains, pattern_set, alloc, z, alloc, [alloc.objective], [len(pattern_set)], flags, t0)
 
 
 def effective_rate_columns(allocation: Allocation, rate_table: RateTable) -> tuple[np.ndarray, np.ndarray]:
@@ -149,7 +147,7 @@ def _fixed_set_report(
     _, relaxed, z, final = finalize_on_set(scenario, gains, pattern_set, solver_options)
     flags = {"converged": relaxed.converged and final.converged}
     return make_report(
-        method, scenario, gains, pattern_set, relaxed, z, final, [relaxed.objective], [len(pattern_set)], flags, t0
+        method, gains, pattern_set, relaxed, z, final, [relaxed.objective], [len(pattern_set)], flags, t0
     )
 
 

@@ -37,12 +37,19 @@ class SolveReport:
     final_allocation: Allocation
     associations: np.ndarray  # z[u, n, i] over the final pattern set
     objective_trace: list[float]
-    pf_objective: float
-    gm_throughput_mbps: float
     wall_time_s: float
     pattern_set_sizes: list[int]
     flags: dict
     warnings: list[str] = field(default_factory=list)
+
+    @property
+    def pf_objective(self) -> float:
+        return self.final_allocation.objective
+
+    @property
+    def gm_throughput_mbps(self) -> float:
+        """Geometric mean of the final effective rates, in Mbps."""
+        return float(np.exp(np.log(self.final_allocation.rates.r_eff).mean()) / 1e6)
 
     def schedule_table(self) -> list[dict]:
         """Human-readable schedule: one row per pattern with its time share."""
@@ -168,7 +175,6 @@ def finalize_on_set(
 
 def make_report(
     method: str,
-    scenario: Scenario,
     gains: GainMatrix,
     pattern_set: PatternSet,
     relaxed: Allocation,
@@ -181,8 +187,6 @@ def make_report(
 ) -> SolveReport:
     """Report of a solve whose final pattern set is pattern_set; the wall
     time counts from t0."""
-    r = final.rates.r_eff
-    gm = float(np.exp(np.log(r).mean()) / 1e6)
     warnings = [f"link distance clamped to 1 m: server {n} -> user {u}" for n, u in gains.clamped_links]
     return SolveReport(
         method=method,
@@ -191,8 +195,6 @@ def make_report(
         final_allocation=final,
         associations=z,
         objective_trace=trace,
-        pf_objective=final.objective,
-        gm_throughput_mbps=gm,
         wall_time_s=time.perf_counter() - t0,
         pattern_set_sizes=sizes,
         flags=flags,
@@ -256,4 +258,4 @@ def run(scenario: Scenario, options: SelectionOptions = SelectionOptions()) -> S
     solved = (table, alloc) if table.patterns == current.members else None
     table, relaxed, z, final = finalize_on_set(scenario, gains, current, options.solver, solved)
     flags["rounding_loss"] = relaxed.objective - final.objective
-    return make_report("algo", scenario, gains, current, relaxed, z, final, trace, sizes, flags, t0)
+    return make_report("algo", gains, current, relaxed, z, final, trace, sizes, flags, t0)

@@ -9,10 +9,9 @@ from d2dreuse.cli import (
     config_hash,
     gen_scenario,
     main,
-    metrics,
     run_experiment,
 )
-from d2dreuse.model import Rates
+from d2dreuse.model import SCENARIO_KEYS, Scenario
 
 
 def scenario_doc(path, value):
@@ -24,22 +23,6 @@ def scenario_doc(path, value):
         node = node[key]
     node[last] = value
     return doc
-
-
-def make_rates(values_bps):
-    r = np.asarray(values_bps, dtype=float)
-    return Rates(r_bar=r, r_tilde=np.zeros(len(r) + 1), r_eff=r)
-
-
-class TestMetrics:
-    def test_geometric_mean(self):
-        m = metrics(make_rates([10e6, 40e6]))
-        assert m["gm_mbps"] == pytest.approx(20.0)
-        assert m["pf"] == pytest.approx(np.log(10e6) + np.log(40e6))
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            metrics(make_rates([10e6, 0.0]))
 
 
 class TestGenScenario:
@@ -198,6 +181,9 @@ class TestMain:
         ([1, 2], "config must be an object"),
         ({"scenario": {"dues": 2, "seed": 1, "num_bs": 1}}, "unknown scenario option(s) in config: num_bs"),
         ({"selection": {"max_outer_iters": -2}}, "max_outer_iters must be at least 1"),
+        ({"slover": {"tolerance": 1e-3}}, "unknown option(s) in config: slover"),
+        ({"output-dir": "elsewhere"}, "unknown option(s) in config: output-dir"),
+        ({"scenario": {"dues": 6.0, "seed": 1}}, "config scenario.dues must be an integer, got 6.0"),
     ])
     def test_malformed_config_is_an_error(self, tmp_path, capsys, config, message):
         if isinstance(config, dict):
@@ -207,7 +193,7 @@ class TestMain:
         assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
-        assert not (tmp_path / "out" / "report_algo.json").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("doc, message", [
         ({"num_bs": 1}, "scenario num_due is required"),
@@ -219,6 +205,8 @@ class TestMain:
         (scenario_doc(("pathloss", "a"), float("nan")), "pathloss.a must be finite"),
         (scenario_doc(("pathloss", "w_db"), -1e400), "pathloss.w_db must be finite"),
         (scenario_doc(("noise_psd_dbm_hz",), float("nan")), "noise_psd_dbm_hz must be finite"),
+        ({**gen_scenario(2, seed=1).to_dict(), "bandwidth": 1e6}, "unknown option(s) in scenario: bandwidth"),
+        (scenario_doc(("pathloss", "A"), 40.0), "unknown pathloss option(s) in scenario: A"),
     ])
     def test_malformed_scenario_file_is_an_error(self, tmp_path, capsys, doc, message):
         (tmp_path / "scenario.json").write_text(json.dumps(doc))
@@ -242,6 +230,23 @@ class TestMain:
         report = json.loads((tmp_path / "out" / "report_algo.json").read_text())
         assert report["pf_objective"] == run_experiment(
             {"scenario": {"dues": 2, "seed": 1}}, tmp_path / "gen")[0]["algo"].pf_objective
+
+    @pytest.mark.parametrize("num_bs", [None, 1])
+    def test_every_key_ever_written_loads(self, num_bs):
+        # the keys that Scenario.to_dict writes, and has ever written
+        written = {"num_bs", "num_due", "positions_m", "tx_power_dbm", "bandwidth_hz", "noise_psd_dbm_hz",
+                   "pathloss", "walls", "seed"}
+        doc = {"num_due": 2, "positions_m": [[100.0, 100.0], [10.0, 20.0], [150.0, 60.0]],
+               "tx_power_dbm": [30.0, 20.0, 21.0], "bandwidth_hz": 1e7, "noise_psd_dbm_hz": -170.0,
+               "pathloss": {"a": 36.0, "b": 34.0, "w_db": 4.0}, "walls": [[0, 1], [2, 0], [0, 3]], "seed": 5}
+        if num_bs is not None:
+            doc["num_bs"] = num_bs
+        sc = Scenario.from_dict(doc)
+        assert set(SCENARIO_KEYS) == set(sc.to_dict()) == written - {"num_bs"}
+        assert sc.to_dict() == {k: v for k, v in doc.items() if k != "num_bs"}
+        # null walls and seed read as absent: no walls, no seed
+        sc = Scenario.from_dict({**doc, "walls": None, "seed": None})
+        assert not sc.walls.any() and sc.seed is None
 
     def test_usage_errors(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "missing.json")]) == 1

@@ -1,8 +1,9 @@
-"""Metamorphic invariants and degenerate inputs.
+"""Metamorphic invariants, orderings and degenerate inputs.
 
 Relabelling the DUEs permutes the problem, and scaling the bandwidth at a
 fixed noise power scales every rate, so both have a known effect on the
-solution.  Degenerate drops must end in a result or InfeasibleError,
+solution.  Brute force bounds `run` from above and the two baselines from
+below.  Degenerate drops must end in a result or InfeasibleError,
 never in a crash or a hang.
 """
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from d2dreuse.cli import METHODS, gen_scenario, run_experiment
-from d2dreuse.oracle import brute_force, bs_only_baseline, orthogonal_baseline
+from d2dreuse.oracle import brute_force, brute_report, bs_only_baseline, orthogonal_baseline
 from d2dreuse.selection import run
 from d2dreuse.solver import InfeasibleError, SolverOptions
 
@@ -80,6 +81,25 @@ class TestMetamorphic:
               f"(bound {bound:.2e})")
         assert brute_err <= bound
         assert algo_err <= bound
+
+
+class TestOrdering:
+    def test_run_between_baselines_and_brute_force(self):
+        """On 100 small walled drops, run's PF is at most brute force's and at
+        least each baseline's, both within tol*max(|obj|,1)."""
+        worst_brute = worst_base = -np.inf
+        for u in (3, 4, 5, 6):
+            for s in range(25):
+                sc = gen_scenario(u, 9000 + s, walls_random=4)
+                algo = run(sc).pf_objective
+                bound = TOL * max(abs(algo), 1.0)
+                worst_brute = max(worst_brute, (algo - brute_report(sc, SolverOptions()).pf_objective) / bound)
+                for baseline in (orthogonal_baseline, bs_only_baseline):
+                    worst_base = max(worst_base, (baseline(sc).pf_objective - algo) / bound)
+        print(f"100 drops: worst (run - brute) / bound {worst_brute:.2e}, "
+              f"worst (baseline - run) / bound {worst_base:.2e}; each must be <= 1")
+        assert worst_brute <= 1.0
+        assert worst_base <= 1.0
 
 
 class TestDegenerateInputs:

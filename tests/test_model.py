@@ -379,6 +379,7 @@ class TestScenarioSerialization:
         ({"seed": [1]}, "scenario seed must be an integer, got [1]"),
         ({"num_bs": 2}, "scenario num_bs must be 1, got 2"),
         ({"num_bs": 1.0}, "scenario num_bs must be an integer, got 1.0"),
+        ({"pathloss": 5}, "scenario section pathloss must be an object"),
     ])
     def test_from_dict_names_the_bad_key(self, change, message):
         doc = {**simple_scenario().to_dict(), **change}
