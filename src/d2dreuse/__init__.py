@@ -16,7 +16,7 @@ from .model import (
 )
 from .patterns import Pattern, PatternSet, flip_neighborhood, hamming, initial_set, trim
 from .selection import SelectionOptions, SolveReport, round_association, run, score_pattern
-from .selection import gradient, propose_candidates
+from .selection import candidate_table, gradient, neighborhoods, propose_candidates
 from .solver import (
     Allocation,
     InfeasibleError,
@@ -53,12 +53,14 @@ __all__ = [
     "bs_only_baseline",
     "build_gains",
     "build_rate_table",
+    "candidate_table",
     "dbm_to_watts",
     "directional_objective",
     "flip_neighborhood",
     "gradient",
     "hamming",
     "initial_set",
+    "neighborhoods",
     "orthogonal_baseline",
     "path_loss_db",
     "propose_candidates",

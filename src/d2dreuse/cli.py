@@ -26,10 +26,17 @@ DUE_POWER_DBM = 20.0
 METHODS = ("algo", "brute", "orthogonal", "bs_only")
 
 
+def _check_seed(seed: int) -> None:
+    # a scenario file holds a seed as a 64-bit integer, and numpy refuses negative ones
+    if not 0 <= seed < 2**63:
+        raise ValueError(f"scenario seed must lie in [0, 2**63), got {seed}")
+
+
 def gen_scenario(num_due: int, seed: int, walls_random: int = 0) -> Scenario:
     """Deterministic random drop: BS at the square's center, DUEs uniform."""
     if num_due < 1:
         raise ValueError("need at least one DUE")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     due_pos = rng.uniform(0.0, AREA_M, size=(num_due, 2))
     positions = np.vstack([[AREA_M / 2.0, AREA_M / 2.0], due_pos])
@@ -145,13 +152,15 @@ def run_experiment(config: dict, out_dir: Path, trace: bool = False) -> tuple[di
     return reports, infeasible
 
 
-def _parse_seed_range(spec: str) -> list[int]:
-    if ".." in spec:
-        a, b = spec.split("..", 1)
-        if int(b) < int(a):
-            raise ValueError(f"seed range {spec} is empty: its end is below its start")
-        return list(range(int(a), int(b) + 1))
-    return [int(spec)]
+def _parse_seed_range(spec: str) -> range:
+    a, sep, b = spec.partition("..")
+    first = int(a)
+    last = int(b) if sep else first
+    if last < first:
+        raise ValueError(f"seed range {spec} is empty: its end is below its start")
+    for seed in (first, last):
+        _check_seed(seed)
+    return range(first, last + 1)
 
 
 def main(argv: list[str] | None = None) -> int:

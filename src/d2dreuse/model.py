@@ -328,6 +328,16 @@ def build_rate_table(scenario: Scenario, gains: GainMatrix, patterns: Sequence[P
     return RateTable(patterns=pats, c=c, bandwidth_hz=scenario.bandwidth_hz)
 
 
+def select_columns(table: RateTable, patterns: Sequence[Pattern]) -> RateTable:
+    """The rate table over patterns, all of which table holds, in the
+    server-major layout that build_rate_table gives (reductions over users
+    then run across patterns, as on a table built directly)."""
+    column = {p.mask: k for k, p in enumerate(table.patterns)}
+    cols = [column[p.mask] for p in patterns]
+    c = table.c.transpose(1, 0, 2).take(cols, axis=2).transpose(1, 0, 2)
+    return RateTable(tuple(patterns), c, table.bandwidth_hz)
+
+
 def rates_from_allocation(rate_table: RateTable, y: np.ndarray) -> Rates:
     """Average, relay-serving, and effective rates of the per-user time
     shares y[u, n, i]."""

@@ -16,13 +16,12 @@ iteration makes progress.  The polish drops the vertices it drives to
 zero weight and so keeps the active set small.
 
 The start is sparse: an optimum needs only about U active patterns
-(Caratheodory), so the solve begins from the U+1 per-pattern greedy
-vertices with the largest linearized gain at the uniform mix of all of
-them, and the oracle brings in any other vertex it needs.  Relaying is
-zero-sum in effective rate (what a relay forwards comes out of its
-owner's rate), so that mix can leave users under the rate floor; each
-such user with a BS link gets one more start vertex in which the BS
-serves it and no one is drained.  This keeps the active set, and with it
+(Caratheodory), so the solve begins from one vertex per user, in which
+the BS serves that user alone on its best BS pattern, and the oracle
+brings in any other vertex it needs.  Relaying is zero-sum in effective
+rate (what a relay forwards comes out of its owner's rate), so these
+vertices drain no one, and their uniform mix gives every user the BS
+reaches a positive rate.  This keeps the active set, and with it
 the corrective Newton system over the vertex weights, small however many
 patterns the table holds.  A caller may instead start from the vertices
 of an earlier solution.
@@ -101,6 +100,8 @@ class Allocation:
     # ((pattern index, per-server user), weight) pairs of the returned convex
     # combination; a later solve can start from them
     vertices: tuple = field(default=(), repr=False, compare=False)
+    # (I,) oracle score of each pattern at the returned rates, from the certificate
+    scores: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     stats: SolveStats = field(default=SolveStats(), compare=False)
 
     def to_dict(self, rate_table: Optional[RateTable] = None) -> dict:
@@ -392,41 +393,25 @@ def _first_zero(wc: np.ndarray, patterns: np.ndarray) -> np.ndarray:
     return (wc[:, servers, patterns[None, :]] == 0).argmax(axis=0)
 
 
-def _sparse_start(wc: np.ndarray, eps: float):
-    """The U+1 per-pattern greedy vertices of largest linearized PF gain,
-    plus a drain-free cover vertex for each user they leave starved.
+def _sparse_start(wc: np.ndarray, link: np.ndarray):
+    """One vertex per user, as (patterns, assign, weights) with equal
+    weights; link[u, n] is user u's largest efficiency from server n.
 
-    A pattern's greedy vertex lets every server serve its user of largest
-    efficiency (user 0 when all are 0, as for an off server or a server
-    that a masked table leaves no user).  Gains are taken at the uniform
-    mix of all these vertices and ties go to the lower pattern index.
-
-    Relaying is zero-sum in effective rate: what a relay forwards to
-    another user comes out of its owner's rate.  So the uniform mix of the
-    kept vertices can leave users under the rate floor eps, and a solve
-    that starts there spends its first line searches and Newton rounds
-    climbing off the floor.  For each such user with a positive BS entry
-    somewhere in the table, a cover vertex is added: the BS serves that
-    user on the pattern of its largest BS efficiency, and every other
-    server serves the first user it has zero efficiency to, so the vertex
-    drains no one.  Returns the vertices as (patterns, assign, weights),
-    with equal weights.
+    In user u's vertex the BS serves u alone, on the pattern of u's largest
+    BS efficiency, and every other server serves the first user it has
+    zero efficiency to (_first_zero), so the vertex is held under the
+    oracle's key and drains no one: what a relay forwards comes out of its
+    owner's rate.  A user the BS never reaches is served instead by its
+    best server, on that server's best pattern for it.  Ties go to the
+    lower index.
     """
-    num_users, _, num_patterns = wc.shape
-    assign = wc.argmax(axis=0)  # (N, I)
-    phi = _vertex_rates(wc, np.arange(num_patterns), assign)
-    gain = phi @ _phi_prime(phi.mean(axis=0), eps)
-    patterns = np.argsort(-gain, kind="stable")[: num_users + 1]
-    assign = assign[:, patterns]
-    bs = wc[:, 0, :]  # (U, I)
-    starved = np.flatnonzero((phi[patterns].mean(axis=0) < eps) & (bs.max(axis=1) > 0))
-    if len(starved):
-        cover = bs[starved].argmax(axis=1)
-        cover_assign = _first_zero(wc, cover)
-        cover_assign[0] = starved
-        patterns = np.concatenate([patterns, cover])
-        assign = np.concatenate([assign, cover_assign], axis=1)
-    return patterns, assign, np.full(len(patterns), 1.0 / len(patterns))
+    num_users = wc.shape[0]
+    users = np.arange(num_users)
+    servers = np.where(link[:, 0] > 0, 0, link.argmax(axis=1))
+    patterns = wc[users, servers].argmax(axis=1)
+    assign = _first_zero(wc, patterns)
+    assign[servers, users] = users
+    return patterns, assign, np.full(num_users, 1.0 / num_users)
 
 
 def _warm_start(vertices: tuple, wc: np.ndarray):
@@ -447,15 +432,13 @@ def _warm_start(vertices: tuple, wc: np.ndarray):
 
 def _fw_solve(rate_table: RateTable, options: SolverOptions, start: tuple = ()) -> Allocation:
     wc = rate_table.bandwidth_hz * rate_table.c
-    if not np.all((wc > 0).any(axis=(1, 2))):
+    link = wc.max(axis=2)  # (U, N): each user's best efficiency from each server
+    if not np.all(link.max(axis=1) > 0):
         raise InfeasibleError("a user has no positive-efficiency link under this pattern set")
 
     tol = options.tolerance
-    eps = 1e-8 * float(wc.max())
-    if start:
-        active = _active_set(wc, *_warm_start(start, wc))
-    else:
-        active = _active_set(wc, *_sparse_start(wc, eps))
+    eps = 1e-8 * float(link.max())
+    active = _active_set(wc, *(_warm_start(start, wc) if start else _sparse_start(wc, link)))
     active.normalize()
 
     counts = dict.fromkeys(
@@ -519,6 +502,14 @@ def _fw_solve(rate_table: RateTable, options: SolverOptions, start: tuple = ()) 
     return _assemble(rate_table, active, it, False, counts)
 
 
+def _certificate(wc: np.ndarray, rates: Rates) -> tuple[np.ndarray, float]:
+    """Per-pattern oracle scores and the Frank-Wolfe gap, with the exact
+    gradient at rates."""
+    inv = 1.0 / rates.r_eff
+    scores = pattern_scores(wc, inv)[0]
+    return scores, float(scores.max()) - float(np.dot(inv, rates.r_eff))
+
+
 def _assemble(rate_table: RateTable, active: _ActiveSet, iterations: int, converged: bool, counts: dict) -> Allocation:
     num_users, num_servers, num_patterns = rate_table.c.shape
     x = np.zeros(num_patterns)
@@ -530,15 +521,11 @@ def _assemble(rate_table: RateTable, active: _ActiveSet, iterations: int, conver
         y[list(assign), servers, i] += w
     rates = rates_from_allocation(rate_table, y)
     objective = float(np.log(rates.r_eff).sum())
-    # certificate with the exact gradient at the returned point
-    wc = rate_table.bandwidth_hz * rate_table.c
-    inv = 1.0 / rates.r_eff
-    score = float(pattern_scores(wc, inv)[0].max())
-    fw_gap = score - float(np.dot(inv, rates.r_eff))
+    scores, fw_gap = _certificate(rate_table.bandwidth_hz * rate_table.c, rates)
     vertices = tuple((key, float(w)) for key, w in zip(active.keys, active.w))
     return Allocation(
         x=x, y=y, rates=rates, objective=objective, fw_gap=fw_gap, iterations=iterations,
-        converged=converged, vertices=vertices,
+        converged=converged, vertices=vertices, scores=scores,
         stats=SolveStats(**counts, dropped=active.dropped, peak_active=active.peak),
     )
 
@@ -571,7 +558,10 @@ def solve_fixed_association(
     the restriction removes, so its y column sums to less than the pattern
     share.  With start given (an allocation on the same table, typically
     the relaxed one that z was rounded from), the solve begins at its
-    vertices; iterations then count from that point.
+    vertices; iterations then count from that point.  When the start
+    carries rate only on z and already certifies on the masked table, it
+    is returned restricted to z, as a solve that exits at its first
+    iteration.
     """
     z = np.asarray(z)
     if z.shape != rate_table.c.shape:
@@ -583,5 +573,19 @@ def solve_fixed_association(
     if start is not None and start.x.shape != (rate_table.num_patterns,):
         raise ValueError("start must be an allocation on the same rate table")
     masked = RateTable(rate_table.patterns, rate_table.c * z, rate_table.bandwidth_hz)
+    if start is not None and not np.any(start.y * rate_table.c * (z == 0)):
+        # Rounding lost no rate, so the start's rates are its rates on the
+        # masked table.  If they certify there, the warm-started solve would
+        # rebuild them from the start's vertices only to exit at its first
+        # iteration; that exit is taken here, on the same rate floor and
+        # certificate, with the same counts.
+        wc = masked.bandwidth_hz * masked.c
+        scores, fw_gap = _certificate(wc, start.rates)
+        if (float(start.rates.r_eff.min()) >= 1e-8 * float(wc.max())
+                and fw_gap <= options.tolerance * max(abs(start.objective), 1.0)):
+            return dataclasses.replace(
+                start, y=start.y * z, fw_gap=fw_gap, iterations=1, converged=True, scores=scores,
+                stats=SolveStats(peak_active=len(start.vertices)),
+            )
     alloc = _fw_solve(masked, options, start=start.vertices if start is not None else ())
     return dataclasses.replace(alloc, y=alloc.y * z)

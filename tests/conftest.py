@@ -8,9 +8,9 @@ from d2dreuse.cli import gen_scenario
 from d2dreuse.model import rates_from_allocation
 
 
-def blocked_scenario(num_due, seed, n_blocked=2, wall_count=10):
+def blocked_scenario(num_due, seed, n_blocked=2, wall_count=10, walls_random=0):
     """Random drop with the first n_blocked BS links heavily walled."""
-    sc = gen_scenario(num_due, seed=seed)
+    sc = gen_scenario(num_due, seed=seed, walls_random=walls_random)
     walls = np.array(sc.walls)
     for k in range(min(n_blocked, num_due)):
         walls[0, k] = wall_count

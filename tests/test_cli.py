@@ -184,6 +184,8 @@ class TestMain:
         ({"slover": {"tolerance": 1e-3}}, "unknown option(s) in config: slover"),
         ({"output-dir": "elsewhere"}, "unknown option(s) in config: output-dir"),
         ({"scenario": {"dues": 6.0, "seed": 1}}, "config scenario.dues must be an integer, got 6.0"),
+        ({"scenario": {"dues": 2, "seed": -1}}, "scenario seed must lie in [0, 2**63), got -1"),
+        ({"scenario": {"dues": 2, "seed": 2**63}}, "scenario seed must lie in [0, 2**63), got 9223372036854775808"),
     ])
     def test_malformed_config_is_an_error(self, tmp_path, capsys, config, message):
         if isinstance(config, dict):
@@ -247,6 +249,18 @@ class TestMain:
         # null walls and seed read as absent: no walls, no seed
         sc = Scenario.from_dict({**doc, "walls": None, "seed": None})
         assert not sc.walls.any() and sc.seed is None
+
+    @pytest.mark.parametrize("argv, seed", [
+        (["gen", "--dues", "2", "--seed", "1180591620717411303424"], 2**70),
+        (["gen", "--dues", "2", "--seed", "-1"], -1),
+        (["compare", "--dues", "2", "--seeds", "1180591620717411303424"], 2**70),
+        (["compare", "--dues", "2", "--seeds", "0..9223372036854775808"], 2**63),
+    ])
+    def test_seed_outside_what_a_scenario_file_holds_is_an_error(self, tmp_path, capsys, argv, seed):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: scenario seed must lie in [0, 2**63), got {seed}\n"
+        assert not out.exists()
 
     def test_usage_errors(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "missing.json")]) == 1

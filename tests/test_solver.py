@@ -5,6 +5,7 @@ import pytest
 
 from d2dreuse import (
     InfeasibleError,
+    RateTable,
     SolverOptions,
     SolveStats,
     build_gains,
@@ -17,7 +18,7 @@ from d2dreuse import (
 from d2dreuse.cli import gen_scenario
 from d2dreuse.oracle import all_patterns, brute_force
 from d2dreuse.patterns import Pattern, initial_set
-from d2dreuse.selection import round_association
+from d2dreuse.selection import round_association, score_pattern
 from d2dreuse.solver import (
     _ActiveSet,
     _active_set,
@@ -270,10 +271,10 @@ class TestOnDemandPolish:
 class TestSolveStats:
     def test_exact_counts_on_a_fixed_drop(self):
         alloc, table = brute_force(gen_scenario(5, seed=1, walls_random=4))
-        assert alloc.iterations == 12
+        assert alloc.iterations == 7
         assert alloc.stats == SolveStats(
-            fw_steps=9, polish_only=2, polishes=4, newton_rounds=28, dropped=12, line_search_evals=55,
-            shrinks=0, peak_active=12,
+            fw_steps=5, polish_only=1, polishes=2, newton_rounds=12, dropped=5, line_search_evals=28,
+            shrinks=0, peak_active=9,
         )
         assert alloc.to_dict(table)["stats"] == dataclasses.asdict(alloc.stats)
 
@@ -297,64 +298,69 @@ class TestSparseStart:
     def drained_table():
         """Pattern 0 has the BS alone on; in patterns 1-5 user 1's relay
         (server 2) also forwards to user 0.  User 1's only link is the BS's,
-        so every greedy vertex but pattern 0's drains user 1."""
+        so a vertex in which server 2 serves user 0 drains user 1."""
         c = np.zeros((2, 3, 6))
         c[0, 0, :] = 2.0
         c[1, 0, :] = 1.0
         c[0, 2, 1:] = 3.0
         return 2e7 * c
 
-    def test_keeps_u_plus_one_vertices_ties_to_lower_index(self):
-        wc = self.drained_table()
-        patterns, assign, weights = _sparse_start(wc, 1e-8 * wc.max())
-        # greedy vertices 0, 1, 2 leave user 1 at rate -4e7 in their mix;
-        # the cover lets the BS serve user 1 on pattern 0 and drains no one
-        assert patterns.tolist() == [0, 1, 2, 0]
-        assert assign.tolist() == [[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]]
-        assert weights == pytest.approx([1 / 4] * 4)
-        phi = _vertex_rates(wc, patterns, assign)
-        assert phi[3].tolist() == [0.0, 2e7]
+    @staticmethod
+    def start(wc):
+        return _sparse_start(wc, wc.max(axis=2))
 
-    def test_starved_user_without_a_bs_entry_gets_no_cover(self):
-        # user 1's only link is user 0's relay, whose greedy choice is user 0
+    def test_one_vertex_per_user_served_by_the_bs_on_its_best_bs_pattern(self):
+        wc = self.drained_table()
+        wc[1, 0, 3] *= 2.0  # user 1's best BS pattern is now 3; user 0's tie goes to pattern 0
+        patterns, assign, weights = self.start(wc)
+        assert patterns.tolist() == [0, 3]
+        # the BS serves the vertex's user; every other server serves the
+        # first user it has zero efficiency to, so user 1's relay (server 2)
+        # serves user 1 and not user 0 on pattern 3
+        assert assign.tolist() == [[0, 1], [0, 0], [0, 1]]
+        assert weights == pytest.approx([1 / 2] * 2)
+        phi = _vertex_rates(wc, patterns, assign)
+        assert phi.tolist() == [[4e7, 0.0], [0.0, 4e7]]
+
+    def test_a_user_the_bs_never_reaches_is_served_by_its_best_link(self):
+        # user 1's only links are from user 0's relay (server 1), best on pattern 2
         c = np.zeros((2, 3, 4))
         c[0, 0, :] = 2.0
         c[0, 1, :] = 3.0
         c[1, 1, :] = 1.0
+        c[1, 1, 2] = 1.5
         wc = 2e7 * c
-        eps = 1e-8 * wc.max()
-        patterns, assign, weights = _sparse_start(wc, eps)
-        assert _vertex_rates(wc, patterns, assign).mean(axis=0)[1] < eps
-        assert patterns.tolist() == [0, 1, 2]
-        assert assign.tolist() == [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
-        assert weights == pytest.approx([1 / 3] * 3)
+        patterns, assign, weights = self.start(wc)
+        assert patterns.tolist() == [0, 2]
+        assert assign[1, 1] == 1
+        phi = _vertex_rates(wc, patterns, assign)
+        assert phi[1].tolist() == [-3e7, 3e7]  # what the relay forwards comes out of user 0's rate
+        assert weights == pytest.approx([1 / 2] * 2)
+        assert np.all(phi.mean(axis=0) > 0)
 
-    def test_without_starved_users_the_start_is_the_greedy_set(self):
-        wc = self.drained_table()
-        wc[1, 0, :] *= 10.0  # the BS now covers user 1 in every greedy vertex
-        eps = 1e-8 * wc.max()
-        patterns, assign, weights = _sparse_start(wc, eps)
-        greedy = wc.argmax(axis=0)
-        phi = _vertex_rates(wc, np.arange(6), greedy)
-        keep = np.argsort(-(phi @ _phi_prime(phi.mean(axis=0), eps)), kind="stable")[:3]
-        assert np.all(_vertex_rates(wc, patterns, assign).mean(axis=0) >= eps)
-        assert patterns.tolist() == keep.tolist()
-        assert np.array_equal(assign, greedy[:, keep])
-        assert weights == pytest.approx([1 / 3] * 3)
+    def test_the_uniform_mix_serves_everyone_and_drains_no_one(self):
+        for seed in range(10):
+            _, table = brute_force(gen_scenario(8, seed=seed, walls_random=4))
+            wc = table.bandwidth_hz * table.c
+            patterns, assign, weights = self.start(wc)
+            assert np.all(wc[:, 0, :].max(axis=1) > 0)  # the BS reaches every user of these drops
+            assert len(patterns) == 8 and np.all(weights == 1 / 8)
+            assert assign[0].tolist() == list(range(8))
+            assert np.all(wc[np.arange(8), 0, patterns] == wc[:, 0, :].max(axis=1))
+            phi = _vertex_rates(wc, patterns, assign)
+            assert np.all(phi >= 0)
+            assert np.all(weights @ phi > 0)
 
     def test_warm_start_keeps_the_keys_of_a_solution(self):
         # every start vertex is held under the oracle's key, so a solution's
         # vertices come back unchanged
-        covered = 0
         for seed in range(10):
             alloc, table = brute_force(gen_scenario(8, seed=seed, walls_random=4))
             wc = table.bandwidth_hz * table.c
-            covered += len(_sparse_start(wc, 1e-8 * wc.max())[0]) > 9
             patterns, assign, weights = _warm_start(alloc.vertices, wc)
             keys = [(int(i), tuple(a)) for i, a in zip(patterns, assign.T.tolist())]
             assert keys == [key for key, _ in alloc.vertices]
             assert weights.tolist() == [w for _, w in alloc.vertices]
-        assert covered == 10  # every one of these starts holds cover vertices
 
     def test_pattern_order_does_not_change_the_optimum(self):
         tol = SolverOptions().tolerance
@@ -559,6 +565,12 @@ class TestSolveFixedAssociation:
             solve_fixed_association(table, np.zeros((2, 2, 1), dtype=int))
         with pytest.raises(ValueError, match="only 0 and 1"):
             solve_fixed_association(table, np.array([2, -1]).reshape(1, 2, 1))  # sums to 1
+        # a boolean mask is a valid z, and the same one as its 0/1 form
+        mask = np.array([True, False]).reshape(1, 2, 1)
+        for start in (None, solve_allocation(table)):
+            a = solve_fixed_association(table, mask, start=start)
+            b = solve_fixed_association(table, mask.astype(int), start=start)
+            assert np.array_equal(a.y, b.y) and a.objective == b.objective
 
     def test_warm_start_matches_cold_start(self):
         tol = SolverOptions().tolerance
@@ -592,3 +604,75 @@ class TestSolveFixedAssociation:
         fixed = solve_fixed_association(table, z)
         assert fixed.objective <= relaxed.objective + 1e-6 * abs(relaxed.objective)
         check_certificate(fixed, equality=False)
+
+
+class TestFixedAssociationFromACertifiedStart:
+    """A start whose rounding loses no rate and that certifies on the masked
+    table is returned restricted to z, with no Frank-Wolfe solve."""
+
+    @staticmethod
+    def count_solves(monkeypatch):
+        calls = []
+        real = solver._fw_solve
+        monkeypatch.setattr(solver, "_fw_solve", lambda *a, **k: calls.append(1) or real(*a, **k))
+        return calls
+
+    @pytest.mark.parametrize("num_dues", [4, 6, 8])
+    def test_lossless_rounding_returns_the_start_restricted_to_z(self, num_dues, monkeypatch):
+        tol = SolverOptions().tolerance
+        start, table = brute_force(gen_scenario(num_dues, seed=1, walls_random=4))
+        z = round_association(start, table)
+        assert not np.any(start.y * table.c * (1 - z))  # lossless
+        calls = self.count_solves(monkeypatch)
+        final = solve_fixed_association(table, z, start=start)
+        assert calls == []
+        assert np.array_equal(final.y, start.y * z) and np.array_equal(final.x, start.x)
+        assert np.array_equal(final.rates.r_eff, start.rates.r_eff)
+        assert final.objective == start.objective
+        masked = RateTable(table.patterns, table.c * z, table.bandwidth_hz)
+        assert np.array_equal(final.scores, score_pattern(masked, final.rates))
+        assert final.fw_gap <= tol * max(abs(final.objective), 1.0)
+        st = final.stats
+        assert final.converged and final.iterations == 1
+        assert st.fw_steps + st.polish_only + st.shrinks + 1 == final.iterations
+        assert st.polishes >= final.iterations // 5
+        assert st.newton_rounds >= st.polishes
+        assert st.line_search_evals >= st.fw_steps
+        assert 1 <= len(final.vertices) <= st.peak_active
+        cold = solve_fixed_association(table, z)  # the full solve on the masked table
+        assert calls == [1] and cold.converged
+        assert abs(final.objective - cold.objective) <= tol * max(abs(cold.objective), 1.0)
+        check_certificate(final, equality=False)
+        # the warm-started solve that the early return stands in for exits at
+        # its first iteration with the same point, certificate and counts; y
+        # differs only where the efficiency is 0 (which user an idle server
+        # is recorded as serving)
+        warm = solver._fw_solve(masked, SolverOptions(), start=start.vertices)
+        assert warm.iterations == 1 and warm.converged and warm.stats == final.stats
+        assert np.array_equal(warm.x, final.x) and np.array_equal(warm.rates.r_eff, final.rates.r_eff)
+        assert (warm.objective, warm.fw_gap) == (final.objective, final.fw_gap)
+        assert np.array_equal(warm.scores, final.scores)
+        assert np.array_equal(warm.y * z * table.c, final.y * table.c)
+
+    def test_lossy_rounding_goes_through_the_solve(self, monkeypatch):
+        start, table = brute_force(gen_scenario(4, seed=5, walls_random=4))
+        z = round_association(start, table)
+        assert np.any(start.y * table.c * (1 - z))  # the relaxed solution splits a user's service
+        calls = self.count_solves(monkeypatch)
+        final = solve_fixed_association(table, z, start=start)
+        assert calls == [1]
+        check_certificate(final, equality=False)
+
+    def test_a_start_that_fails_the_masked_certificate_goes_through_the_solve(self, monkeypatch):
+        tol = SolverOptions().tolerance
+        _, table = brute_force(gen_scenario(6, seed=0, walls_random=4))
+        start = solve_allocation(table, SolverOptions(max_iters=2))
+        z = round_association(start, table)
+        assert not np.any(start.y * table.c * (1 - z))
+        masked = RateTable(table.patterns, table.c * z, table.bandwidth_hz)
+        inv = 1.0 / start.rates.r_eff
+        assert score_pattern(masked, start.rates).max() - inv @ start.rates.r_eff > tol * abs(start.objective)
+        calls = self.count_solves(monkeypatch)
+        final = solve_fixed_association(table, z, start=start)
+        assert calls == [1]
+        check_certificate(final, equality=False)
