@@ -36,6 +36,8 @@ def gen_scenario(num_due: int, seed: int, walls_random: int = 0) -> Scenario:
     """Deterministic random drop: BS at the square's center, DUEs uniform."""
     if num_due < 1:
         raise ValueError("need at least one DUE")
+    if walls_random < 0:
+        raise ValueError(f"walls_random must be nonnegative, got {walls_random}")
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     due_pos = rng.uniform(0.0, AREA_M, size=(num_due, 2))

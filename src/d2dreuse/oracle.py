@@ -144,7 +144,9 @@ def _fixed_set_report(
     """Relaxed solve, rounding and fixed-association re-solve on a set
     chosen without selection."""
     gains = build_gains(scenario)
-    _, relaxed, z, final = finalize_on_set(scenario, gains, pattern_set, solver_options)
+    table = build_rate_table(scenario, gains, pattern_set.members)
+    relaxed = solve_allocation(table, solver_options)
+    z, final = finalize_on_set(table, relaxed, solver_options)
     flags = {"converged": relaxed.converged and final.converged}
     return make_report(
         method, gains, pattern_set, relaxed, z, final, [relaxed.objective], [len(pattern_set)], flags, t0

@@ -6,7 +6,6 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -119,19 +118,19 @@ def candidate_table(
 
 
 def propose_candidates(
-    hoods: tuple[tuple[Pattern, ...], ...], table: RateTable, rates: Rates
+    hoods: tuple[tuple[Pattern, ...], ...], table: RateTable, scores: np.ndarray
 ) -> tuple[list[Pattern], float]:
     """Per-server best candidates of a set's neighborhoods hoods.
 
-    All candidates are scored at once, in table, which holds them all (see
-    candidate_table).  Returns the deduplicated winners (one per server at
-    most, ties to the first candidate of the server's neighborhood)
-    together with the best candidate score seen, for the caller's stopping
-    rule.
+    table holds every candidate (see candidate_table) and scores is
+    score_pattern over it.  Returns the deduplicated winners (one per
+    server at most, ties to the first candidate of the server's
+    neighborhood) together with the best candidate score seen, for the
+    caller's stopping rule.
     """
     if not any(hoods):
         return [], float("-inf")
-    score_of = dict(zip((p.mask for p in table.patterns), score_pattern(table, rates).tolist()))
+    score_of = dict(zip((p.mask for p in table.patterns), scores.tolist()))
     winners: list[Pattern] = []
     seen: set[int] = set()
     best_score = float("-inf")
@@ -160,29 +159,15 @@ def round_association(allocation: Allocation, rate_table: RateTable) -> np.ndarr
 
 
 def finalize_on_set(
-    scenario: Scenario,
-    gains: GainMatrix,
-    pattern_set: PatternSet,
-    solver_options: SolverOptions,
-    solved: Optional[tuple[RateTable, Allocation]] = None,
-) -> tuple[RateTable, Allocation, np.ndarray, Allocation]:
-    """Relaxed solve, rounding, and fixed-association re-solve on a set.
+    table: RateTable, relaxed: Allocation, solver_options: SolverOptions
+) -> tuple[np.ndarray, Allocation]:
+    """Rounding and fixed-association re-solve of a relaxed solve on table.
 
-    solved, when given, is the (rate table, relaxed allocation) pair that a
-    caller already computed on exactly this pattern set and these solver
-    options; the relaxed solve is then not repeated.  The fixed-association
-    solve starts from the relaxed allocation's vertices.
+    The fixed-association solve starts from the relaxed allocation's
+    vertices.  Returns the association z and the final allocation.
     """
-    if solved is None:
-        table = build_rate_table(scenario, gains, pattern_set.members)
-        relaxed = solve_allocation(table, solver_options)
-    else:
-        table, relaxed = solved
-        if table.patterns != pattern_set.members:
-            raise ValueError("the solved rate table is not over this pattern set")
     z = round_association(relaxed, table)
-    final = solve_fixed_association(table, z, solver_options, start=relaxed)
-    return table, relaxed, z, final
+    return z, solve_fixed_association(table, z, solver_options, start=relaxed)
 
 
 def make_report(
@@ -262,13 +247,12 @@ def run(scenario: Scenario, options: SelectionOptions = SelectionOptions()) -> S
         if priced is None:
             hoods = neighborhoods(current)
             priced = candidate_table(scenario, gains, current, hoods)
-        winners, best_candidate = propose_candidates(hoods, priced, alloc.rates)
+        scores = score_pattern(priced, alloc.rates)
+        winners, best_candidate = propose_candidates(hoods, priced, scores)
         if not winners:
             flags["converged"] = True
             break
-        current_masks = {p.mask for p in current}  # trimming keeps current within the table
-        best_in_set = max(s for p, s in zip(table.patterns, alloc.scores.tolist()) if p.mask in current_masks)
-        if best_candidate <= best_in_set:
+        if best_candidate <= float(scores[:len(current)].max()):  # the set's columns lead the table
             flags["stalled"] = True
             flags["converged"] = True
             break
@@ -286,8 +270,9 @@ def run(scenario: Scenario, options: SelectionOptions = SelectionOptions()) -> S
     else:
         flags["converged"] = abs(p_cur - p_prev) <= options.eps2
 
-    # the last relaxed solve is reused when trimming kept its whole set
-    solved = (table, alloc) if table.patterns == current.members else None
-    table, relaxed, z, final = finalize_on_set(scenario, gains, current, options.solver, solved)
-    flags["rounding_loss"] = relaxed.objective - final.objective
-    return make_report("algo", gains, current, relaxed, z, final, trace, sizes, flags, t0)
+    if table.patterns != current.members:  # the last trim dropped a pattern
+        table = select_columns(table, current.members)
+        alloc = solve_allocation(table, options.solver)
+    z, final = finalize_on_set(table, alloc, options.solver)
+    flags["rounding_loss"] = alloc.objective - final.objective
+    return make_report("algo", gains, current, alloc, z, final, trace, sizes, flags, t0)

@@ -56,8 +56,8 @@ class SolverOptions:
     max_iters: int = 200_000
 
     def __post_init__(self) -> None:
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < float("inf"):  # json reads Infinity and 1e400 as inf
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if not self.max_iters >= 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -100,8 +100,6 @@ class Allocation:
     # ((pattern index, per-server user), weight) pairs of the returned convex
     # combination; a later solve can start from them
     vertices: tuple = field(default=(), repr=False, compare=False)
-    # (I,) oracle score of each pattern at the returned rates, from the certificate
-    scores: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     stats: SolveStats = field(default=SolveStats(), compare=False)
 
     def to_dict(self, rate_table: Optional[RateTable] = None) -> dict:
@@ -502,12 +500,10 @@ def _fw_solve(rate_table: RateTable, options: SolverOptions, start: tuple = ()) 
     return _assemble(rate_table, active, it, False, counts)
 
 
-def _certificate(wc: np.ndarray, rates: Rates) -> tuple[np.ndarray, float]:
-    """Per-pattern oracle scores and the Frank-Wolfe gap, with the exact
-    gradient at rates."""
+def _certificate(wc: np.ndarray, rates: Rates) -> float:
+    """The Frank-Wolfe gap, with the exact gradient at rates."""
     inv = 1.0 / rates.r_eff
-    scores = pattern_scores(wc, inv)[0]
-    return scores, float(scores.max()) - float(np.dot(inv, rates.r_eff))
+    return float(pattern_scores(wc, inv)[0].max()) - float(np.dot(inv, rates.r_eff))
 
 
 def _assemble(rate_table: RateTable, active: _ActiveSet, iterations: int, converged: bool, counts: dict) -> Allocation:
@@ -521,11 +517,11 @@ def _assemble(rate_table: RateTable, active: _ActiveSet, iterations: int, conver
         y[list(assign), servers, i] += w
     rates = rates_from_allocation(rate_table, y)
     objective = float(np.log(rates.r_eff).sum())
-    scores, fw_gap = _certificate(rate_table.bandwidth_hz * rate_table.c, rates)
+    fw_gap = _certificate(rate_table.bandwidth_hz * rate_table.c, rates)
     vertices = tuple((key, float(w)) for key, w in zip(active.keys, active.w))
     return Allocation(
         x=x, y=y, rates=rates, objective=objective, fw_gap=fw_gap, iterations=iterations,
-        converged=converged, vertices=vertices, scores=scores,
+        converged=converged, vertices=vertices,
         stats=SolveStats(**counts, dropped=active.dropped, peak_active=active.peak),
     )
 
@@ -580,11 +576,11 @@ def solve_fixed_association(
         # iteration; that exit is taken here, on the same rate floor and
         # certificate, with the same counts.
         wc = masked.bandwidth_hz * masked.c
-        scores, fw_gap = _certificate(wc, start.rates)
+        fw_gap = _certificate(wc, start.rates)
         if (float(start.rates.r_eff.min()) >= 1e-8 * float(wc.max())
                 and fw_gap <= options.tolerance * max(abs(start.objective), 1.0)):
             return dataclasses.replace(
-                start, y=start.y * z, fw_gap=fw_gap, iterations=1, converged=True, scores=scores,
+                start, y=start.y * z, fw_gap=fw_gap, iterations=1, converged=True,
                 stats=SolveStats(peak_active=len(start.vertices)),
             )
     alloc = _fw_solve(masked, options, start=start.vertices if start is not None else ())

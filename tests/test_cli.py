@@ -186,6 +186,10 @@ class TestMain:
         ({"scenario": {"dues": 6.0, "seed": 1}}, "config scenario.dues must be an integer, got 6.0"),
         ({"scenario": {"dues": 2, "seed": -1}}, "scenario seed must lie in [0, 2**63), got -1"),
         ({"scenario": {"dues": 2, "seed": 2**63}}, "scenario seed must lie in [0, 2**63), got 9223372036854775808"),
+        ({"scenario": {"dues": 3, "seed": 1, "walls_random": -5}}, "walls_random must be nonnegative, got -5"),
+        # json writes inf as Infinity, which loads as a number
+        ({"scenario": {"dues": 6, "seed": 4, "walls_random": 4}, "solver": {"tolerance": float("inf")}},
+         "tolerance must be positive and finite, got inf"),
     ])
     def test_malformed_config_is_an_error(self, tmp_path, capsys, config, message):
         if isinstance(config, dict):
@@ -262,9 +266,17 @@ class TestMain:
         assert capsys.readouterr().err == f"error: scenario seed must lie in [0, 2**63), got {seed}\n"
         assert not out.exists()
 
-    def test_usage_errors(self, tmp_path):
+    def test_usage_errors(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "missing.json")]) == 1
         assert main(["gen", "--dues", "0", "--seed", "1", "--out", str(tmp_path / "s.json")]) == 1
         assert main(["frobnicate"]) == 1
         assert main(["compare", "--seeds", "5..3", "--dues", "2", "--out", str(tmp_path / "c.csv")]) == 1
+        assert not (tmp_path / "c.csv").exists()
+        capsys.readouterr()
+        assert main(["gen", "--dues", "3", "--seed", "1", "--walls-random", "-2", "--out", str(tmp_path / "s.json")]) == 1
+        assert capsys.readouterr().err == "error: walls_random must be nonnegative, got -2\n"
+        assert not (tmp_path / "s.json").exists()
+        assert main(["compare", "--seeds", "0..1", "--dues", "2", "--walls-random", "-1",
+                     "--out", str(tmp_path / "c.csv")]) == 1
+        assert capsys.readouterr() == ("", "error: walls_random must be nonnegative, got -1\n")
         assert not (tmp_path / "c.csv").exists()

@@ -15,9 +15,10 @@ from d2dreuse import (
     run,
     score_pattern,
     solve_allocation,
+    solve_fixed_association,
 )
 from d2dreuse.cli import brute_report, gen_scenario
-from d2dreuse.model import pattern_efficiencies, rates_from_allocation
+from d2dreuse.model import pattern_efficiencies, rates_from_allocation, select_columns
 from d2dreuse.oracle import all_patterns, bs_only_baseline, orthogonal_baseline
 from d2dreuse.patterns import flip_neighborhood, hamming, initial_set
 from d2dreuse.selection import finalize_on_set
@@ -111,7 +112,8 @@ def old_propose(current, scenario, gains, rates):
 
 def propose(current, scenario, gains, rates):
     hoods = neighborhoods(current)
-    return propose_candidates(hoods, candidate_table(scenario, gains, current, hoods), rates)
+    table = candidate_table(scenario, gains, current, hoods)
+    return propose_candidates(hoods, table, score_pattern(table, rates))
 
 
 def summation_bound(scenario, gains, cand, rates):
@@ -271,29 +273,29 @@ class TestRoundAssociation:
 
 
 class TestFinalizeOnSet:
-    def test_reused_relaxed_solve_equals_a_fresh_one(self):
+    def test_rounds_and_warm_starts_the_fixed_solve(self):
         sc = blocked_scenario(6, seed=3)
-        gains = build_gains(sc)
-        pattern_set = initial_set(sc.num_due)
-        table = build_rate_table(sc, gains, pattern_set.members)
-        solved = (table, solve_allocation(table))
-        _, relaxed, z, final = finalize_on_set(sc, gains, pattern_set, SolverOptions(), solved)
-        _, fresh, z_fresh, final_fresh = finalize_on_set(sc, gains, pattern_set, SolverOptions())
-        assert relaxed is solved[1]
-        for a, b in ((relaxed, fresh), (final, final_fresh)):
-            assert np.array_equal(a.x, b.x)
-            assert np.array_equal(a.y, b.y)
-            assert np.array_equal(a.rates.r_eff, b.rates.r_eff)
-            assert a.objective == b.objective and a.fw_gap == b.fw_gap
-        assert np.array_equal(z, z_fresh)
+        table = build_rate_table(sc, build_gains(sc), initial_set(sc.num_due).members)
+        relaxed = solve_allocation(table)
+        z, final = finalize_on_set(table, relaxed, SolverOptions())
+        assert np.array_equal(z, round_association(relaxed, table))
+        expected = solve_fixed_association(table, z, SolverOptions(), start=relaxed)
+        assert np.array_equal(final.x, expected.x) and np.array_equal(final.y, expected.y)
+        assert np.array_equal(final.rates.r_eff, expected.rates.r_eff)
+        assert (final.objective, final.fw_gap) == (expected.objective, expected.fw_gap)
 
-    def test_rejects_a_solve_on_another_set(self):
-        sc = gen_scenario(3, seed=1)
-        gains = build_gains(sc)
+    def test_baseline_report_is_the_finalized_solve_on_its_set(self):
+        sc = blocked_scenario(6, seed=3)
         pattern_set = initial_set(sc.num_due)
-        other = build_rate_table(sc, gains, pattern_set.members[::-1])
-        with pytest.raises(ValueError):
-            finalize_on_set(sc, gains, pattern_set, SolverOptions(), (other, solve_allocation(other)))
+        table = build_rate_table(sc, build_gains(sc), pattern_set.members)
+        relaxed = solve_allocation(table)
+        z, final = finalize_on_set(table, relaxed, SolverOptions())
+        rep = orthogonal_baseline(sc)
+        assert rep.final_patterns.members == pattern_set.members
+        assert np.array_equal(rep.associations, z)
+        for a, b in ((rep.relaxed_allocation, relaxed), (rep.final_allocation, final)):
+            assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+            assert a.objective == b.objective and a.fw_gap == b.fw_gap
 
 
 def loop_round_association(alloc, table):
@@ -370,23 +372,57 @@ class TestRun:
             if not rep.flags["pattern_cap_hit"]:
                 assert len(rep.final_patterns) <= sc.num_due + 1
 
-    def test_each_relaxed_solve_keeps_the_oracle_scores_of_its_table(self, monkeypatch):
-        # run's stall test reads alloc.scores instead of scoring the table again
+    def test_the_set_leads_each_candidate_table_with_its_own_scores(self, monkeypatch):
+        # run's stall test reads the set's columns of the candidate table's scores
         import d2dreuse.selection as selection
 
-        solves = []
-        real = selection.solve_allocation
+        built, scored = [], []  # (candidate table, size of its set), (table, set size, rates)
+        real_table, real_score = selection.candidate_table, selection.score_pattern
 
-        def solve(table, options):
-            solves.append((table, real(table, options)))
-            return solves[-1][1]
+        def table_of(scenario, gains, current, hoods):
+            built.append((real_table(scenario, gains, current, hoods), len(current)))
+            return built[-1][0]
 
-        monkeypatch.setattr(selection, "solve_allocation", solve)
+        def score(table, rates):
+            assert table is built[-1][0]
+            scored.append((*built[-1], rates))
+            return real_score(table, rates)
+
+        monkeypatch.setattr(selection, "candidate_table", table_of)
+        monkeypatch.setattr(selection, "score_pattern", score)
         for seed in range(20):  # the select-u12 benchmark drops
             run(blocked_scenario(12, seed=seed, walls_random=4))
-        for table, alloc in solves:
-            assert np.array_equal(alloc.scores, score_pattern(table, alloc.rates))
-        print(f"PASS scores of {len(solves)} relaxed solves equal score_pattern bit for bit")
+        assert scored
+        for table, size, rates in scored:
+            own = select_columns(table, table.patterns[:size])
+            assert np.array_equal(real_score(table, rates)[:size], real_score(own, rates))
+        print(f"PASS set scores of {len(scored)} candidate tables equal score_pattern on the set bit for bit")
+
+    def test_a_trimmed_final_set_takes_its_columns_from_the_last_table(self, monkeypatch):
+        # when the last trim dropped a pattern, run re-solves the trimmed set
+        # on select_columns of the last table, which must be the table a
+        # fresh build gives, down to the strides that reductions follow
+        import d2dreuse.selection as selection
+
+        solved, finalized = [], []
+        real_solve, real_finalize = selection.solve_allocation, selection.finalize_on_set
+        monkeypatch.setattr(selection, "solve_allocation", lambda t, o: solved.append(t) or real_solve(t, o))
+        monkeypatch.setattr(selection, "finalize_on_set", lambda t, r, o: finalized.append(t) or real_finalize(t, r, o))
+        trimmed = 0
+        for seed in range(20):  # the select-u12 benchmark drops
+            sc = blocked_scenario(12, seed=seed, walls_random=4)
+            solved.clear()
+            rep = run(sc)
+            if len(solved) == len(rep.objective_trace):
+                continue  # the last relaxed solve was on the final set
+            trimmed += 1
+            table = finalized[-1]
+            assert table is solved[-1]
+            fresh = build_rate_table(sc, build_gains(sc), rep.final_patterns.members)
+            assert table.patterns == fresh.patterns
+            assert np.array_equal(table.c, fresh.c) and table.c.strides == fresh.c.strides
+        assert trimmed >= 10
+        print(f"PASS {trimmed} of 20 trimmed final tables equal a fresh build in values and strides")
 
     def test_to_dict_serializes(self):
         import json
