@@ -15,7 +15,7 @@ import numpy as np
 
 from . import oracle
 from .model import Scenario, read_json
-from .oracle import brute_report
+from .oracle import GuardExceededError, brute_report
 from .selection import SelectionOptions, SolveReport, run as run_selection
 from .solver import InfeasibleError, SolverOptions
 
@@ -23,7 +23,14 @@ AREA_M = 200.0
 BS_POWER_DBM = 30.0
 DUE_POWER_DBM = 20.0
 
-METHODS = ("algo", "brute", "orthogonal", "bs_only")
+# (scenario, SelectionOptions) -> SolveReport.  Each entry looks its solver up
+# when called, so a wrapper on the module attribute (bench/spans.py) sees it.
+METHODS = {
+    "algo": lambda scenario, options: run_selection(scenario, options),
+    "brute": lambda scenario, options: brute_report(scenario, options.solver),
+    "orthogonal": lambda scenario, options: oracle.orthogonal_baseline(scenario, options.solver),
+    "bs_only": lambda scenario, options: oracle.bs_only_baseline(scenario, options.solver),
+}
 
 
 def _check_seed(seed: int) -> None:
@@ -75,6 +82,13 @@ CONFIG_KEYS = {
 }
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows(rows)
+
+
 def _load_scenario(spec) -> Scenario:
     if isinstance(spec, str):
         return Scenario.load(spec)
@@ -94,7 +108,9 @@ def run_experiment(config: dict, out_dir: Path, trace: bool = False) -> tuple[di
     selection_opts = SelectionOptions(**values.get("selection", {}), solver=solver_opts)
     methods = values.get("methods", ["algo"])
     if not isinstance(methods, list) or not methods or any(m not in METHODS for m in methods):
-        raise ValueError(f"methods must be a nonempty subset of {METHODS}, got {methods}")
+        raise ValueError(f"methods must be a nonempty subset of {tuple(METHODS)}, got {methods}")
+    if "brute" in methods:
+        oracle.check_guard(scenario.num_servers)
     chash = config_hash(config)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -102,14 +118,7 @@ def run_experiment(config: dict, out_dir: Path, trace: bool = False) -> tuple[di
     infeasible: list[str] = []
     for method in methods:
         try:
-            if method == "algo":
-                reports[method] = run_selection(scenario, selection_opts)
-            elif method == "brute":
-                reports[method] = brute_report(scenario, solver_opts)
-            elif method == "orthogonal":
-                reports[method] = oracle.orthogonal_baseline(scenario, solver_opts)
-            else:
-                reports[method] = oracle.bs_only_baseline(scenario, solver_opts)
+            rep = reports[method] = METHODS[method](scenario, selection_opts)
         except InfeasibleError as exc:
             infeasible.append(method)
             (out_dir / f"report_{method}.json").write_text(
@@ -117,40 +126,31 @@ def run_experiment(config: dict, out_dir: Path, trace: bool = False) -> tuple[di
                             "config_hash": chash, "seed": scenario.seed}) + "\n")
             continue
 
-        doc = reports[method].to_dict()
+        doc = rep.to_dict()
         doc["config_hash"] = chash
         doc["seed"] = scenario.seed
         # compact: with indent, json falls back to its pure-Python encoder
         (out_dir / f"report_{method}.json").write_text(json.dumps(doc) + "\n")
 
-        rates = np.sort(reports[method].final_allocation.rates.r_eff) / 1e6
-        with open(out_dir / f"cdf_{method}.csv", "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["rate_mbps", "quantile"])
-            for k, r in enumerate(rates, start=1):
-                wr.writerow([f"{r:.9g}", f"{k / len(rates):.6f}"])
-
+        rates = np.sort(rep.final_allocation.rates.r_eff) / 1e6
+        _write_csv(out_dir / f"cdf_{method}.csv", ["rate_mbps", "quantile"],
+                   ([f"{r:.9g}", f"{k / len(rates):.6f}"] for k, r in enumerate(rates, start=1)))
         if trace and method == "algo":
-            with open(out_dir / "trace_algo.csv", "w", newline="") as fh:
-                wr = csv.writer(fh)
-                wr.writerow(["t", "set_size", "objective"])
-                for ti, (sz, obj) in enumerate(
-                    zip(reports[method].pattern_set_sizes, reports[method].objective_trace), start=1
-                ):
-                    wr.writerow([ti, sz, f"{obj:.12g}"])
+            steps = zip(rep.pattern_set_sizes, rep.objective_trace)
+            _write_csv(out_dir / "trace_algo.csv", ["t", "set_size", "objective"],
+                       ([t, sz, f"{obj:.12g}"] for t, (sz, obj) in enumerate(steps, start=1)))
 
     gm_brute = reports["brute"].gm_throughput_mbps if "brute" in reports else None
-    with open(out_dir / "summary.csv", "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["method", "gm_mbps", "pf_objective", "active_patterns", "wall_time_s",
-                     "gap_vs_brute", "config_hash", "seed"])
-        for method, rep in reports.items():
-            gap = ""
-            if gm_brute and method == "algo":
-                gap = f"{(gm_brute - rep.gm_throughput_mbps) / gm_brute:.6g}"
-            active = int((rep.final_allocation.x > selection_opts.eps1).sum())
-            wr.writerow([method, f"{rep.gm_throughput_mbps:.9g}", f"{rep.pf_objective:.9g}",
-                         active, f"{rep.wall_time_s:.4f}", gap, chash, scenario.seed])
+    rows = []
+    for method, rep in reports.items():
+        gap = ""
+        if gm_brute and method == "algo":
+            gap = f"{(gm_brute - rep.gm_throughput_mbps) / gm_brute:.6g}"
+        active = int((rep.final_allocation.x > selection_opts.eps1).sum())
+        rows.append([method, f"{rep.gm_throughput_mbps:.9g}", f"{rep.pf_objective:.9g}",
+                     active, f"{rep.wall_time_s:.4f}", gap, chash, scenario.seed])
+    _write_csv(out_dir / "summary.csv", ["method", "gm_mbps", "pf_objective", "active_patterns",
+                                         "wall_time_s", "gap_vs_brute", "config_hash", "seed"], rows)
     return reports, infeasible
 
 
@@ -179,7 +179,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run = sub.add_parser("run", help="run methods from a config file")
     p_run.add_argument("--config", type=Path, required=True)
     p_run.add_argument("--methods", type=str, default=None,
-                       help="comma list overriding the config (algo,brute,orthogonal,bs-only)")
+                       help=f"comma list overriding the config ({','.join(METHODS)})")
     p_run.add_argument("--trace", action="store_true")
     p_run.add_argument("--out-dir", type=Path, default=None)
 
@@ -214,21 +214,19 @@ def main(argv: list[str] | None = None) -> int:
             return 2 if infeasible else 0
 
         # compare
+        oracle.check_guard(args.dues + 1)
         rows = []
         for seed in _parse_seed_range(args.seeds):
             scenario = gen_scenario(args.dues, seed, args.walls_random)
-            algo = run_selection(scenario)
-            brute = brute_report(scenario, SolverOptions())
+            algo = METHODS["algo"](scenario, SelectionOptions())
+            brute = METHODS["brute"](scenario, SelectionOptions())
             rows.append([args.dues, seed, f"{brute.gm_throughput_mbps:.9g}", f"{algo.gm_throughput_mbps:.9g}",
                          f"{brute.wall_time_s:.4f}", f"{algo.wall_time_s:.4f}"])
             print(f"seed {seed}: gm_brute={rows[-1][2]} gm_algo={rows[-1][3]}")
-        with open(args.out, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["dues", "seed", "gm_brute_mbps", "gm_algo_mbps", "t_brute_s", "t_algo_s"])
-            wr.writerows(rows)
+        _write_csv(args.out, ["dues", "seed", "gm_brute_mbps", "gm_algo_mbps", "t_brute_s", "t_algo_s"], rows)
         print(f"wrote {args.out}")
         return 0
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, GuardExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -31,13 +31,17 @@ def all_patterns(n_servers: int) -> PatternSet:
     return PatternSet(tuple(Pattern(mask, n_servers) for mask in range(1, 1 << n_servers)))
 
 
-def brute_force(scenario: Scenario, options: SolverOptions = SolverOptions()) -> tuple[Allocation, RateTable]:
-    """Optimal relaxed allocation over every feasible reuse pattern."""
-    n = scenario.num_servers
+def check_guard(n: int) -> None:
+    """Refuse exhaustive enumeration over more than DEFAULT_GUARD_N servers."""
     if n > DEFAULT_GUARD_N:
         raise GuardExceededError(f"{n} servers would need {2**n - 1} patterns (guard {DEFAULT_GUARD_N})")
+
+
+def brute_force(scenario: Scenario, options: SolverOptions = SolverOptions()) -> tuple[Allocation, RateTable]:
+    """Optimal relaxed allocation over every feasible reuse pattern."""
+    check_guard(scenario.num_servers)
     gains = build_gains(scenario)
-    table = build_rate_table(scenario, gains, all_patterns(n).members)
+    table = build_rate_table(scenario, gains, all_patterns(scenario.num_servers).members)
     return solve_allocation(table, options), table
 
 

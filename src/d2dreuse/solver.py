@@ -147,10 +147,6 @@ def _phi_derivs(r: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     return inv, np.where(r >= eps, inv * inv, 0.0)
 
 
-def _phi_prime(r: np.ndarray, eps: float) -> np.ndarray:
-    return _phi_derivs(r, eps)[0]
-
-
 def pattern_scores(wc: np.ndarray, inv: np.ndarray):
     """Linearized PF gain of every pattern's best vertex.
 
@@ -203,6 +199,8 @@ def _vertex_rates(wc: np.ndarray, patterns: np.ndarray, assign: np.ndarray) -> n
 
 
 _MAX_LINE_SEARCH_STEPS = 100  # bisection alone needs about 40 to reach the stop width
+_MAX_NEWTON_ROUNDS = 20  # KKT solves per corrective polish
+_PRUNE_FLOOR = 1e-16  # active-set weight under which a vertex is dropped
 _LINE_SEARCH_WIDTH = 1e-12  # stop width on gamma
 
 
@@ -289,12 +287,12 @@ class _ActiveSet:
         self.peak = max(self.peak, n + 1)
         return n
 
-    def prune(self, floor: float = 1e-16) -> None:
-        """Drop the vertices whose weight fell under floor, keeping order."""
+    def prune(self) -> None:
+        """Drop the vertices whose weight fell under _PRUNE_FLOOR, keeping order."""
         n = len(self.keys)
-        if self.w[:n].min() >= floor:
+        if self.w[:n].min() >= _PRUNE_FLOOR:
             return
-        keep = np.flatnonzero(self.w[:n] >= floor)
+        keep = np.flatnonzero(self.w[:n] >= _PRUNE_FLOOR)
         self.phi[: len(keep)] = self.phi[keep]
         self.w[: len(keep)] = self.w[keep]
         self.keys = [self.keys[k] for k in keep]
@@ -310,7 +308,7 @@ class _ActiveSet:
         return self.phi[:n].T @ self.w[:n]
 
 
-def _corrective_newton(active: "_ActiveSet", eps: float, max_rounds: int = 20) -> int:
+def _corrective_newton(active: "_ActiveSet", eps: float) -> int:
     """Re-optimize the weights over the current vertices (simplex Newton).
 
     Frank-Wolfe discovers vertices quickly but zig-zags on the final
@@ -319,7 +317,7 @@ def _corrective_newton(active: "_ActiveSet", eps: float, max_rounds: int = 20) -
     Newton rounds (KKT solves) taken.
     """
     rounds = 0
-    while rounds < max_rounds:
+    while rounds < _MAX_NEWTON_ROUNDS:
         n = len(active)
         if n <= 1:
             break
@@ -452,7 +450,7 @@ def _fw_solve(rate_table: RateTable, options: SolverOptions, start: tuple = ()) 
             counts["newton_rounds"] += _corrective_newton(active, eps)
         r = active.rates()
         min_r = float(r.min())
-        inv = _phi_prime(r, eps)
+        inv = _phi_derivs(r, eps)[0]
         obj = float(_phi(r, eps).sum())
 
         i_star, assign, score = _lmo(wc, inv)

@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from d2dreuse import cli, oracle
 from d2dreuse.cli import (
     AREA_M,
+    METHODS,
     config_hash,
     gen_scenario,
     main,
@@ -23,6 +25,22 @@ def scenario_doc(path, value):
         node = node[key]
     node[last] = value
     return doc
+
+
+SOLVERS = ((cli, "run_selection"), (cli, "brute_report"),
+           (oracle, "orthogonal_baseline"), (oracle, "bs_only_baseline"))
+
+
+def spy_on_solvers(monkeypatch):
+    """Replace each method's module attribute with a spy that records its
+    name and delegates; returns the list of recorded names."""
+    calls = []
+    for module, name in SOLVERS:
+        def spy(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+    return calls
 
 
 class TestGenScenario:
@@ -115,6 +133,13 @@ class TestRunExperiment:
         doc = json.loads((tmp_path / "report_orthogonal.json").read_text())
         assert doc["status"] == "INFEASIBLE"
 
+    def test_methods_dispatch_through_module_attributes(self, tmp_path, monkeypatch):
+        # a tracer wraps these attributes, so the table must look them up when called
+        calls = spy_on_solvers(monkeypatch)
+        assert list(METHODS) == ["algo", "brute", "orthogonal", "bs_only"]
+        run_experiment({"scenario": {"dues": 3, "seed": 5}, "methods": list(METHODS)}, tmp_path)
+        assert calls == [name for _, name in SOLVERS]
+
     def test_unknown_method_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             run_experiment({"scenario": {"dues": 2, "seed": 0}, "methods": ["magic"]}, tmp_path)
@@ -153,6 +178,11 @@ class TestMain:
         for r in rows:
             assert float(r["gm_algo_mbps"]) > 0
 
+    def test_compare_dispatches_through_module_attributes(self, tmp_path, monkeypatch, capsys):
+        calls = spy_on_solvers(monkeypatch)
+        assert main(["compare", "--seeds", "0..1", "--dues", "3", "--out", str(tmp_path / "c.csv")]) == 0
+        assert calls == ["run_selection", "brute_report"] * 2
+
     @pytest.mark.parametrize("options, message", [
         ({"solver": {"feasibility_tol": 1e-8}}, "unknown solver option(s) in config: feasibility_tol"),
         ({"selection": {"eps1": 1e-3, "eps3": 1e-3}}, "unknown selection option(s) in config: eps3"),
@@ -190,6 +220,9 @@ class TestMain:
         # json writes inf as Infinity, which loads as a number
         ({"scenario": {"dues": 6, "seed": 4, "walls_random": 4}, "solver": {"tolerance": float("inf")}},
          "tolerance must be positive and finite, got inf"),
+        # refused before algo runs, so no report is written
+        ({"scenario": {"dues": 13, "seed": 1}, "methods": ["algo", "brute"]},
+         "14 servers would need 16383 patterns (guard 13)"),
     ])
     def test_malformed_config_is_an_error(self, tmp_path, capsys, config, message):
         if isinstance(config, dict):
@@ -280,3 +313,7 @@ class TestMain:
                      "--out", str(tmp_path / "c.csv")]) == 1
         assert capsys.readouterr() == ("", "error: walls_random must be nonnegative, got -1\n")
         assert not (tmp_path / "c.csv").exists()
+        # brute past its guard is refused before algo runs on any seed
+        assert main(["compare", "--seeds", "0", "--dues", "13", "--out", str(tmp_path / "big.csv")]) == 1
+        assert capsys.readouterr() == ("", "error: 14 servers would need 16383 patterns (guard 13)\n")
+        assert not (tmp_path / "big.csv").exists()

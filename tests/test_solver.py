@@ -26,7 +26,6 @@ from d2dreuse.solver import (
     _line_search,
     _phi,
     _phi_derivs,
-    _phi_prime,
     _sparse_start,
     _vertex_rates,
     _warm_start,
@@ -82,7 +81,7 @@ def bisection_line_search(r_base, d_r, eps):
     the surrogate's derivative along r_base + gamma * d_r."""
 
     def deriv(g):
-        return float(np.dot(d_r, _phi_prime(r_base + g * d_r, eps)))
+        return float(np.dot(d_r, _phi_derivs(r_base + g * d_r, eps)[0]))
 
     if deriv(1.0) >= 0.0:
         return 1.0
@@ -171,7 +170,6 @@ class TestPhi:
             r[0] = eps  # on the floor counts as above it
             value, slope, curv = phi_reference(r, eps)
             assert np.array_equal(_phi(r, eps), value)
-            assert np.array_equal(_phi_prime(r, eps), slope)
             assert np.array_equal(_phi_derivs(r, eps)[0], slope)
             assert np.array_equal(_phi_derivs(r, eps)[1], curv)
 
@@ -180,10 +178,10 @@ class TestPhi:
         r = np.array([-3.0, 0.0, 1.0, 2.0, 8.0])
         value, slope, curv = phi_reference(r, eps)
         assert np.array_equal(_phi(r, eps), value)
-        assert np.array_equal(_phi_prime(r, eps), slope)
+        assert np.array_equal(_phi_derivs(r, eps)[0], slope)
         assert np.array_equal(_phi_derivs(r, eps)[1], curv)
         assert _phi(r, eps)[:3] == pytest.approx(np.log(eps) - 1.0 + r[:3] / eps, rel=1e-15)
-        assert _phi_prime(r, eps).tolist() == [0.5, 0.5, 0.5, 0.5, 0.125]
+        assert _phi_derivs(r, eps)[0].tolist() == [0.5, 0.5, 0.5, 0.5, 0.125]
         assert _phi_derivs(r, eps)[1].tolist() == [0.0, 0.0, 0.0, 0.25, 1.0 / 64.0]
 
 
