@@ -107,7 +107,8 @@ def run_experiment(config: dict, out_dir: Path, trace: bool = False) -> tuple[di
     solver_opts = SolverOptions(**values.get("solver", {}))
     selection_opts = SelectionOptions(**values.get("selection", {}), solver=solver_opts)
     methods = values.get("methods", ["algo"])
-    if not isinstance(methods, list) or not methods or any(m not in METHODS for m in methods):
+    if (not isinstance(methods, list) or not methods
+            or not all(isinstance(m, str) and m in METHODS for m in methods) or len(set(methods)) < len(methods)):
         raise ValueError(f"methods must be a nonempty subset of {tuple(METHODS)}, got {methods}")
     if "brute" in methods:
         oracle.check_guard(scenario.num_servers)

@@ -1,19 +1,26 @@
 """Proportional-fairness time allocation over a fixed pattern set.
 
 The concave program (maximize sum of log effective rates over the
-time-share polytope) is solved with Frank-Wolfe and a corrective Newton
-polish.  The linear oracle decomposes exactly: pick one pattern, then for
-each server the user with the largest gradient entry, so every iterate is
-an explicit convex combination of (pattern, per-server user assignment)
-vertices.  Each iteration steps toward the oracle vertex.  The weights
-over the current vertices are re-optimized with Newton's method at the
-start of every fifth iteration, and also at the start of the iteration
-after one whose oracle vertex was already held: such an iteration takes
-no step, since re-weighting the held vertices is the better move (the
-fully corrective idea of simplicial decomposition).  If the oracle
-repeats a held vertex right after a polish, the step is taken, so every
-iteration makes progress.  The polish drops the vertices it drives to
-zero weight and so keeps the active set small.
+time-share polytope) is solved by fully corrective Frank-Wolfe
+(simplicial decomposition).  The linear oracle decomposes exactly: pick
+one pattern, then for each server the user with the largest gradient
+entry, so every iterate is an explicit convex combination of (pattern,
+per-server user assignment) vertices.  Each iteration that does not
+certify adds the oracle vertex at weight 0 (unless it is already held)
+and re-optimizes the weights over all held vertices with at most two
+steps of Newton's method on the simplex; that is the one weight update,
+with no step-size search and no schedule.  Two rules keep it moving:
+
+* a vertex at weight 0 whose Newton component is negative leaves the
+  active set, and the Newton system is solved again over the rest, a
+  re-solve that the two-step budget does not count; and
+* an iteration whose oracle vertex is already held and whose
+  re-optimization moves no weight ends the solve unconverged, since the
+  next iteration would repeat it.
+
+The Newton steps drop the vertices they drive to zero weight and so keep
+the active set small.  The start is not re-optimized before its first
+certificate test.
 
 The start is sparse: an optimum needs only about U active patterns
 (Caratheodory), so the solve begins from one vertex per user, in which
@@ -31,10 +38,7 @@ a small rate floor the log is continued linearly, which keeps the
 surrogate concave and finite everywhere.  Whenever the returned point has
 all rates above the floor, the surrogate and the true objective share
 value and gradient there, so the Frank-Wolfe gap certificate transfers.
-Steps are sized by exact maximization of the surrogate along the step
-direction, with a 1-D Newton method safeguarded by bisection.
 """
-
 from __future__ import annotations
 
 import dataclasses
@@ -66,19 +70,16 @@ class SolverOptions:
 class SolveStats:
     """What one Frank-Wolfe solve did, counted as it ran.
 
-    Every iteration either takes a Frank-Wolfe step, skips it because the
-    oracle returned a held vertex (a polish-only iteration: the next one
-    starts with a polish), shrinks the rate floor, or returns the
+    Every iteration either adds its oracle vertex (fw_steps), finds it
+    already held (polish_only), shrinks the rate floor, or returns the
     certificate; so fw_steps + polish_only + shrinks + converged equals
-    the iteration count.
+    the iteration count.  Each of the first two re-optimizes the weights.
     """
 
     fw_steps: int = 0
     polish_only: int = 0
-    polishes: int = 0  # corrective Newton calls
-    newton_rounds: int = 0  # KKT solves inside them
+    newton_rounds: int = 0  # KKT solves, re-solves after a drop included
     dropped: int = 0  # vertices pruned at zero weight
-    line_search_evals: int = 0  # derivative evaluations, one line search per FW step
     shrinks: int = 0  # rate-floor reductions
     peak_active: int = 0  # largest active-set size
 
@@ -198,62 +199,8 @@ def _vertex_rates(wc: np.ndarray, patterns: np.ndarray, assign: np.ndarray) -> n
     return phi
 
 
-_MAX_LINE_SEARCH_STEPS = 100  # bisection alone needs about 40 to reach the stop width
-_MAX_NEWTON_ROUNDS = 20  # KKT solves per corrective polish
+_MAX_NEWTON_ROUNDS = 2  # Newton steps per re-optimization; re-solves after a drop are free
 _PRUNE_FLOOR = 1e-16  # active-set weight under which a vertex is dropped
-_LINE_SEARCH_WIDTH = 1e-12  # stop width on gamma
-
-
-def _line_search(r_base: np.ndarray, d_r: np.ndarray, eps: float) -> tuple[float, int]:
-    """Exact maximization of the surrogate along r_base + gamma * d_r.
-
-    The surrogate is concave in gamma, so its derivative falls and has at
-    most one root in [0, 1].  Newton's method on that derivative finds the
-    root; a step that leaves the current bracket of the root is replaced
-    by bisection.  The step is 1 when the derivative is still nonnegative
-    there, and 0 when it is already nonpositive at 0.  Returns the step
-    and the number of derivative evaluations it took.
-    """
-    d_sq = d_r * d_r
-    evals = 0
-
-    def derivs(g: float) -> tuple[float, float]:
-        nonlocal evals
-        evals += 1
-        inv, curv = _phi_derivs(r_base + g * d_r, eps)
-        return float(np.dot(d_r, inv)), -float(np.dot(d_sq, curv))
-
-    d1, _ = derivs(1.0)
-    if d1 >= 0.0:
-        return 1.0, evals
-    g = 0.0
-    d1, d2 = derivs(g)
-    if d1 <= 0.0:
-        return 0.0, evals
-    lo, hi = 0.0, 1.0
-    for _ in range(_MAX_LINE_SEARCH_STEPS):
-        if d2 < 0.0:
-            step = -d1 / d2
-            if abs(step) <= _LINE_SEARCH_WIDTH:
-                return min(max(g + step, lo), hi), evals
-            g_new = g + step
-        else:
-            g_new = hi  # no curvature: bisect
-        if not lo < g_new < hi:
-            g_new = 0.5 * (lo + hi)
-        if abs(g_new - g) <= _LINE_SEARCH_WIDTH:
-            return g_new, evals
-        g = g_new
-        d1, d2 = derivs(g)
-        if d1 > 0.0:
-            lo = g
-        elif d1 < 0.0:
-            hi = g
-        else:
-            return g, evals
-        if hi - lo <= _LINE_SEARCH_WIDTH:
-            break
-    return g, evals
 
 
 class _ActiveSet:
@@ -308,16 +255,20 @@ class _ActiveSet:
         return self.phi[:n].T @ self.w[:n]
 
 
-def _corrective_newton(active: "_ActiveSet", eps: float) -> int:
+def _corrective_newton(active: "_ActiveSet", eps: float) -> tuple[int, bool]:
     """Re-optimize the weights over the current vertices (simplex Newton).
 
-    Frank-Wolfe discovers vertices quickly but zig-zags on the final
-    weights; this equality-constrained Newton polish removes that tail.
-    Vertices driven to zero weight are dropped.  Returns the number of
-    Newton rounds (KKT solves) taken.
+    Takes at most _MAX_NEWTON_ROUNDS Armijo-damped Newton steps of the
+    equality-constrained problem and drops the vertices a step drives to
+    zero weight.  A vertex at weight 0 (an oracle vertex just added) whose
+    Newton component is negative is dropped instead of capping the step
+    at 0, and the system is solved again over the rest; that re-solve is
+    not a step.  Returns the number of KKT solves and whether any weight
+    moved.
     """
-    rounds = 0
-    while rounds < _MAX_NEWTON_ROUNDS:
+    rounds = steps = 0
+    moved = False
+    while steps < _MAX_NEWTON_ROUNDS:
         n = len(active)
         if n <= 1:
             break
@@ -338,6 +289,10 @@ def _corrective_newton(active: "_ActiveSet", eps: float) -> int:
         except np.linalg.LinAlgError:
             break
         dw = sol[:n]
+        if np.any(dw[w <= 0] < 0):
+            active.prune()
+            continue
+        steps += 1
         g_dot_d = float(rhs[:n] @ dw)  # the squared Newton decrement
         f0 = float(_phi(r, eps).sum())
         if g_dot_d <= 1e-13 * (abs(f0) + 1.0) or np.abs(dw).max() < 1e-18:
@@ -346,8 +301,6 @@ def _corrective_newton(active: "_ActiveSet", eps: float) -> int:
         t_max = 1.0
         if neg.any():
             t_max = min(1.0, float(np.min(w[neg] / -dw[neg])))
-        if t_max <= 0:
-            break
         t = t_max
         accepted = False
         for _ in range(40):
@@ -361,9 +314,10 @@ def _corrective_newton(active: "_ActiveSet", eps: float) -> int:
         active.w[:n] = np.maximum(w + t * dw, 0.0)
         active.prune()
         active.normalize()
+        moved = True
         if t * g_dot_d < 1e-14 * (abs(f0) + 1.0):
             break  # negligible improvement left on this vertex set
-    return rounds
+    return rounds, moved
 
 
 def _active_set(wc: np.ndarray, patterns: np.ndarray, assign: np.ndarray, weights: np.ndarray) -> _ActiveSet:
@@ -437,17 +391,10 @@ def _fw_solve(rate_table: RateTable, options: SolverOptions, start: tuple = ()) 
     active = _active_set(wc, *(_warm_start(start, wc) if start else _sparse_start(wc, link)))
     active.normalize()
 
-    counts = dict.fromkeys(
-        ("fw_steps", "polish_only", "polishes", "newton_rounds", "line_search_evals", "shrinks"), 0
-    )
-    held = False  # the last oracle vertex was already in the active set
+    counts = dict.fromkeys(("fw_steps", "polish_only", "newton_rounds", "shrinks"), 0)
     it = 0
     while it < options.max_iters:
         it += 1
-        polished = held or it % 5 == 0
-        if polished:
-            counts["polishes"] += 1
-            counts["newton_rounds"] += _corrective_newton(active, eps)
         r = active.rates()
         min_r = float(r.min())
         inv = _phi_derivs(r, eps)[0]
@@ -469,28 +416,21 @@ def _fw_solve(rate_table: RateTable, options: SolverOptions, start: tuple = ()) 
                 if counts["shrinks"] > 6:
                     break
                 eps = eps * 1e-3 if min_r <= 0 else min(eps * 1e-3, 0.25 * min_r)
-                held = False
                 continue
 
-        # a held oracle vertex calls for re-weighting the held vertices, not
-        # a step; right after a polish the step is taken all the same
+        # fully corrective step: add the oracle vertex at weight 0, then
+        # re-optimize the weights over every held vertex
         key = (i_star, assign)
-        held = key in active.index and not polished
+        held = key in active.index
         if held:
             counts["polish_only"] += 1
-            continue
-
-        # Frank-Wolfe step toward the oracle vertex
-        s_idx = active.index.get(key)
-        if s_idx is None:
-            s_idx = active.add(key, _vertex_rates(wc, np.array([i_star]), np.array([assign]).T)[0])
-        gamma, evals = _line_search(r, active.phi[s_idx] - r, eps)
-        counts["fw_steps"] += 1
-        counts["line_search_evals"] += evals
-        active.w[: len(active)] *= 1.0 - gamma
-        active.w[s_idx] += gamma
-        active.prune()
-        active.normalize()
+        else:
+            counts["fw_steps"] += 1
+            active.add(key, _vertex_rates(wc, np.array([i_star]), np.array([assign]).T)[0])
+        rounds, moved = _corrective_newton(active, eps)
+        counts["newton_rounds"] += rounds
+        if held and not moved:
+            break  # the next iteration would repeat this one
 
     r = active.rates()
     if float(r.min()) <= 0.0:

@@ -161,13 +161,20 @@ class TestMain:
         cfg.write_text(json.dumps({"scenario": {"dues": 1, "seed": 3}, "methods": ["orthogonal"]}))
         assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out2")]) == 2
 
-    def test_run_methods_override(self, tmp_path):
+    def test_run_methods_override(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"scenario": {"dues": 2, "seed": 1}, "methods": ["algo"]}))
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--methods", "bs-only", "--out-dir", str(out)]) == 0
         assert (out / "report_bs_only.json").exists()
         assert not (out / "report_algo.json").exists()
+        capsys.readouterr()
+        # a repeated method is refused before any method runs
+        again = tmp_path / "again"
+        assert main(["run", "--config", str(cfg), "--methods", "algo,algo", "--out-dir", str(again)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: methods must be a nonempty subset of") and err.count("\n") == 1, err
+        assert not again.exists()
 
     def test_compare_writes_table(self, tmp_path, capsys):
         out = tmp_path / "compare.csv"
@@ -223,6 +230,10 @@ class TestMain:
         # refused before algo runs, so no report is written
         ({"scenario": {"dues": 13, "seed": 1}, "methods": ["algo", "brute"]},
          "14 servers would need 16383 patterns (guard 13)"),
+        # a method that is not a string, or a repeated one, is refused before any runs
+        ({"methods": [["algo"]]}, "methods must be a nonempty subset of"),
+        ({"methods": [{"a": 1}]}, "methods must be a nonempty subset of"),
+        ({"methods": ["algo", "algo"]}, "methods must be a nonempty subset of"),
     ])
     def test_malformed_config_is_an_error(self, tmp_path, capsys, config, message):
         if isinstance(config, dict):
