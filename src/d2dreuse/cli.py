@@ -23,13 +23,14 @@ AREA_M = 200.0
 BS_POWER_DBM = 30.0
 DUE_POWER_DBM = 20.0
 
-# (scenario, SelectionOptions) -> SolveReport.  Each entry looks its solver up
-# when called, so a wrapper on the module attribute (bench/spans.py) sees it.
+# (scenario, SelectionOptions, {method: report already made on the scenario})
+# -> SolveReport.  Each entry looks its solver up when called, so a wrapper on
+# the module attribute (bench/spans.py) sees it.
 METHODS = {
-    "algo": lambda scenario, options: run_selection(scenario, options),
-    "brute": lambda scenario, options: brute_report(scenario, options.solver),
-    "orthogonal": lambda scenario, options: oracle.orthogonal_baseline(scenario, options.solver),
-    "bs_only": lambda scenario, options: oracle.bs_only_baseline(scenario, options.solver),
+    "algo": lambda scenario, options, done: run_selection(scenario, options),
+    "brute": lambda scenario, options, done: brute_report(scenario, options.solver, done.get("algo")),
+    "orthogonal": lambda scenario, options, done: oracle.orthogonal_baseline(scenario, options.solver),
+    "bs_only": lambda scenario, options, done: oracle.bs_only_baseline(scenario, options.solver),
 }
 
 
@@ -119,7 +120,7 @@ def run_experiment(config: dict, out_dir: Path, trace: bool = False) -> tuple[di
     infeasible: list[str] = []
     for method in methods:
         try:
-            rep = reports[method] = METHODS[method](scenario, selection_opts)
+            rep = reports[method] = METHODS[method](scenario, selection_opts, reports)
         except InfeasibleError as exc:
             infeasible.append(method)
             (out_dir / f"report_{method}.json").write_text(
@@ -219,8 +220,8 @@ def main(argv: list[str] | None = None) -> int:
         rows = []
         for seed in _parse_seed_range(args.seeds):
             scenario = gen_scenario(args.dues, seed, args.walls_random)
-            algo = METHODS["algo"](scenario, SelectionOptions())
-            brute = METHODS["brute"](scenario, SelectionOptions())
+            algo = METHODS["algo"](scenario, SelectionOptions(), {})
+            brute = METHODS["brute"](scenario, SelectionOptions(), {"algo": algo})
             rows.append([args.dues, seed, f"{brute.gm_throughput_mbps:.9g}", f"{algo.gm_throughput_mbps:.9g}",
                          f"{brute.wall_time_s:.4f}", f"{algo.wall_time_s:.4f}"])
             print(f"seed {seed}: gm_brute={rows[-1][2]} gm_algo={rows[-1][3]}")

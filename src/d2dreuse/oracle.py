@@ -37,22 +37,32 @@ def check_guard(n: int) -> None:
         raise GuardExceededError(f"{n} servers would need {2**n - 1} patterns (guard {DEFAULT_GUARD_N})")
 
 
-def brute_force(scenario: Scenario, options: SolverOptions = SolverOptions()) -> tuple[Allocation, RateTable]:
-    """Optimal relaxed allocation over every feasible reuse pattern."""
+def brute_force(
+    scenario: Scenario, options: SolverOptions = SolverOptions(), start: Allocation | None = None
+) -> tuple[Allocation, RateTable]:
+    """Optimal relaxed allocation over every feasible reuse pattern,
+    solved from start's vertices when an allocation of the scenario is given."""
     check_guard(scenario.num_servers)
     gains = build_gains(scenario)
     table = build_rate_table(scenario, gains, all_patterns(scenario.num_servers).members)
-    return solve_allocation(table, options), table
+    return solve_allocation(table, options, start), table
 
 
-def brute_report(scenario: Scenario, solver_options: SolverOptions) -> SolveReport:
-    """SolveReport wrapper around the exhaustive relaxed solve."""
+def brute_report(
+    scenario: Scenario, solver_options: SolverOptions, seed_report: SolveReport | None = None
+) -> SolveReport:
+    """SolveReport wrapper around the exhaustive relaxed solve; with
+    seed_report (a report on the same scenario) given, the solve starts from
+    its relaxed allocation, and flags["seeded_by"] names its method."""
     t0 = time.perf_counter()
-    alloc, table = brute_force(scenario, solver_options)
+    start = seed_report.relaxed_allocation if seed_report is not None else None
+    alloc, table = brute_force(scenario, solver_options, start)
     z = round_association(alloc, table)
     gains = build_gains(scenario)
     pattern_set = PatternSet(table.patterns)
     flags = {"converged": alloc.converged}
+    if seed_report is not None:
+        flags["seeded_by"] = seed_report.method
     return make_report("brute", gains, pattern_set, alloc, z, alloc, [alloc.objective], [len(pattern_set)], flags, t0)
 
 

@@ -47,7 +47,7 @@ class Pattern:
 
     def bitstring(self) -> str:
         """Render with server 1 leftmost, as in schedule tables."""
-        return "".join("1" if (self.mask >> n) & 1 else "0" for n in range(self.n_servers))
+        return format(self.mask, f"0{self.n_servers}b")[::-1]
 
     @classmethod
     def from_bitstring(cls, s: str) -> "Pattern":

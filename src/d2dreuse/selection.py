@@ -60,11 +60,13 @@ class SolveReport:
 
     def to_dict(self) -> dict:
         nz = np.argwhere(self.associations > 0)
+        relaxed = self.relaxed_allocation.to_dict()
+        final = relaxed if self.final_allocation is self.relaxed_allocation else self.final_allocation.to_dict()
         return {
             "method": self.method,
             "patterns": [p.bitstring() for p in self.final_patterns],
-            "relaxed": self.relaxed_allocation.to_dict(),
-            "final": self.final_allocation.to_dict(),
+            "relaxed": relaxed,
+            "final": final,
             "associations": nz.tolist(),
             "objective_trace": self.objective_trace,
             "pf_objective": self.pf_objective,
@@ -218,7 +220,8 @@ def run(scenario: Scenario, options: SelectionOptions = SelectionOptions()) -> S
     The starting set is the BS-plus-one-relay family augmented with the
     BS-only pattern: without the singleton a lone user is silenced by its
     own relay bit under every starting pattern, and for larger networks
-    trimming discards the singleton whenever it is useless.
+    trimming discards the singleton whenever it is useless.  Every relaxed
+    solve after the first starts from the previous one's vertices.
     """
     t0 = time.perf_counter()
     num_due = scenario.num_due
@@ -258,7 +261,7 @@ def run(scenario: Scenario, options: SelectionOptions = SelectionOptions()) -> S
             break
         extended = current.union(winners)
         table = select_columns(priced, extended.members)
-        alloc = solve_allocation(table, options.solver)
+        alloc = solve_allocation(table, options.solver, start=alloc)
         p_prev, p_cur = p_cur, alloc.objective
         trace.append(p_cur)
         current = pat.trim(extended, alloc.x, options.eps1)
@@ -272,7 +275,7 @@ def run(scenario: Scenario, options: SelectionOptions = SelectionOptions()) -> S
 
     if table.patterns != current.members:  # the last trim dropped a pattern
         table = select_columns(table, current.members)
-        alloc = solve_allocation(table, options.solver)
+        alloc = solve_allocation(table, options.solver, start=alloc)
     z, final = finalize_on_set(table, alloc, options.solver)
     flags["rounding_loss"] = alloc.objective - final.objective
     return make_report("algo", gains, current, alloc, z, final, trace, sizes, flags, t0)

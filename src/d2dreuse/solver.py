@@ -30,8 +30,8 @@ rate (what a relay forwards comes out of its owner's rate), so these
 vertices drain no one, and their uniform mix gives every user the BS
 reaches a positive rate.  This keeps the active set, and with it
 the corrective Newton system over the vertex weights, small however many
-patterns the table holds.  A caller may instead start from the vertices
-of an earlier solution.
+patterns the table holds.  A caller may instead start from an earlier
+solution on any table of the same scenario (see solve_allocation).
 
 Strict rate positivity is handled with a tangent-extended logarithm: below
 a small rate floor the log is continued linearly, which keeps the
@@ -84,7 +84,7 @@ class SolveStats:
     peak_active: int = 0  # largest active-set size
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,8 @@ class Allocation:
     # ((pattern index, per-server user), weight) pairs of the returned convex
     # combination; a later solve can start from them
     vertices: tuple = field(default=(), repr=False, compare=False)
+    # the patterns of the table's columns, which the vertices' indices name
+    patterns: tuple = field(default=(), repr=False, compare=False)
     stats: SolveStats = field(default=SolveStats(), compare=False)
 
     def to_dict(self, rate_table: Optional[RateTable] = None) -> dict:
@@ -459,21 +461,34 @@ def _assemble(rate_table: RateTable, active: _ActiveSet, iterations: int, conver
     vertices = tuple((key, float(w)) for key, w in zip(active.keys, active.w))
     return Allocation(
         x=x, y=y, rates=rates, objective=objective, fw_gap=fw_gap, iterations=iterations,
-        converged=converged, vertices=vertices,
+        converged=converged, vertices=vertices, patterns=rate_table.patterns,
         stats=SolveStats(**counts, dropped=active.dropped, peak_active=active.peak),
     )
 
 
-def solve_allocation(rate_table: RateTable, options: SolverOptions = SolverOptions()) -> Allocation:
+def _carry(start: Allocation, rate_table: RateTable) -> tuple:
+    """start's vertices on rate_table's columns, matched by pattern mask,
+    less those of patterns the table lacks (the solve renormalizes)."""
+    column = {p.mask: k for k, p in enumerate(rate_table.patterns)}
+    masks = [p.mask for p in start.patterns]
+    return tuple(((column[masks[i]], assign), w) for (i, assign), w in start.vertices if masks[i] in column)
+
+
+def solve_allocation(
+    rate_table: RateTable, options: SolverOptions = SolverOptions(), start: Optional[Allocation] = None
+) -> Allocation:
     """Maximize the PF objective over all fractional associations.
 
     Active servers split their pattern time fully across users (equality
-    coupling), so each returned y column sums to the pattern share.
-    Raises InfeasibleError when no all-positive-rate point exists; a run
-    that exhausts the iteration budget returns its best iterate with
-    converged=False.
+    coupling), so each returned y column sums to the pattern share.  With
+    start given (an allocation of the same scenario, on any table), the
+    solve begins at start's vertices on the patterns this table holds, and
+    iterations count from that point; when it holds none of them, the
+    solve starts cold.  Raises InfeasibleError when no all-positive-rate
+    point exists; a run that exhausts the iteration budget returns its
+    best iterate with converged=False.
     """
-    return _fw_solve(rate_table, options)
+    return _fw_solve(rate_table, options, _carry(start, rate_table) if start is not None else ())
 
 
 def solve_fixed_association(

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from d2dreuse import cli, oracle
+from d2dreuse import SolverOptions, cli, oracle
 from d2dreuse.cli import (
     AREA_M,
     METHODS,
@@ -144,6 +144,24 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment({"scenario": {"dues": 2, "seed": 0}, "methods": ["magic"]}, tmp_path)
 
+    @pytest.mark.parametrize("methods, seeded", [
+        (["brute"], False),
+        (["brute", "algo"], False),
+        (["algo", "brute"], True),
+        (["algo", "orthogonal", "brute", "bs_only"], True),
+    ])
+    def test_brute_starts_from_algo_only_when_algo_ran_first(self, tmp_path, methods, seeded):
+        config = {"scenario": {"dues": 4, "seed": 7, "walls_random": 4}, "methods": methods}
+        reports, _ = run_experiment(config, tmp_path)
+        doc = json.loads((tmp_path / "report_brute.json").read_text())
+        assert doc["flags"].get("seeded_by") == ("algo" if seeded else None)
+        assert reports["brute"].flags == doc["flags"]
+        if seeded:
+            cold = oracle.brute_report(gen_scenario(4, 7, 4), SolverOptions())
+            tol = SolverOptions().tolerance * max(abs(cold.pf_objective), 1.0)
+            assert abs(doc["pf_objective"] - cold.pf_objective) <= tol
+            assert doc["pf_objective"] >= reports["algo"].relaxed_allocation.objective - tol
+
 
 class TestMain:
     def test_gen_round_trip(self, tmp_path, capsys):
@@ -189,6 +207,12 @@ class TestMain:
         calls = spy_on_solvers(monkeypatch)
         assert main(["compare", "--seeds", "0..1", "--dues", "3", "--out", str(tmp_path / "c.csv")]) == 0
         assert calls == ["run_selection", "brute_report"] * 2
+
+    def test_compare_seeds_brute_with_algo(self, tmp_path, monkeypatch, capsys):
+        seeds, real = [], cli.brute_report
+        monkeypatch.setattr(cli, "brute_report", lambda sc, o, report=None: seeds.append(report) or real(sc, o, report))
+        assert main(["compare", "--seeds", "0..1", "--dues", "3", "--out", str(tmp_path / "c.csv")]) == 0
+        assert [s.method for s in seeds] == ["algo", "algo"]
 
     @pytest.mark.parametrize("options, message", [
         ({"solver": {"feasibility_tol": 1e-8}}, "unknown solver option(s) in config: feasibility_tol"),

@@ -3,10 +3,12 @@ import pytest
 
 from d2dreuse import InfeasibleError, Scenario, SolverOptions
 from d2dreuse.cli import gen_scenario
+from d2dreuse.selection import run
 from d2dreuse.oracle import (
     GuardExceededError,
     all_patterns,
     brute_force,
+    brute_report,
     bs_only_baseline,
     effective_rate_columns,
     orthogonal_baseline,
@@ -68,6 +70,35 @@ class TestBruteForce:
         sub = build_rate_table(sc, gains, initial_set(3).members)
         sub_alloc = solve_allocation(sub)
         assert alloc.objective >= sub_alloc.objective - 1e-6 * abs(alloc.objective)
+
+
+class TestSeededBrute:
+    """brute_report seeded with run's report starts from run's relaxed
+    optimum, a point of the exhaustive problem, and reaches its optimum."""
+
+    @pytest.mark.parametrize("num_dues", [3, 5, 8])
+    def test_seeded_solve_reaches_the_cold_optimum(self, num_dues):
+        tol = SolverOptions().tolerance
+        iterations = []
+        for seed in range(4):
+            sc = gen_scenario(num_dues, seed=300 + seed, walls_random=4)
+            algo = run(sc)
+            seeded = brute_report(sc, SolverOptions(), algo)
+            cold = brute_report(sc, SolverOptions())
+            bound = tol * max(abs(cold.pf_objective), 1.0)
+            assert seeded.flags == {"converged": True, "seeded_by": "algo"}
+            assert cold.flags == {"converged": True}
+            assert abs(seeded.pf_objective - cold.pf_objective) <= bound
+            assert seeded.pf_objective >= algo.relaxed_allocation.objective - bound
+            # the table holds every pattern, so this certificate is over all of them
+            alloc = seeded.relaxed_allocation
+            assert alloc.x.size == 2 ** (num_dues + 1) - 1
+            assert alloc.fw_gap <= tol * max(abs(alloc.objective), 1.0)
+            assert seeded.final_allocation is alloc
+            iterations.append((alloc.iterations, cold.relaxed_allocation.iterations))
+        # starting at run's relaxed optimum saves Frank-Wolfe iterations
+        assert sum(s for s, _ in iterations) < sum(c for _, c in iterations)
+        print(f"PASS U={num_dues}: (seeded, cold) iterations {iterations}")
 
 
 class TestEffectiveRateColumns:

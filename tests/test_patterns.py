@@ -36,6 +36,12 @@ class TestPattern:
         assert p.bitstring() == "10110"
         assert p.active_set == (0, 2, 3)
 
+    def test_bitstring_matches_the_bit_loop_for_every_mask_up_to_twelve_servers(self):
+        for n in range(1, 13):
+            for mask in range(1, 1 << n):
+                loop = "".join("1" if (mask >> k) & 1 else "0" for k in range(n))
+                assert Pattern(mask, n).bitstring() == loop
+
     def test_equality_by_content(self):
         assert Pattern.from_bitstring("101") == Pattern.from_active([0, 2], 3)
         assert Pattern.from_bitstring("101") != Pattern.from_bitstring("110")

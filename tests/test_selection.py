@@ -404,15 +404,25 @@ class TestRun:
         # fresh build gives, down to the strides that reductions follow
         import d2dreuse.selection as selection
 
-        solved, finalized = [], []
+        solved, starts, finalized = [], [], []
         real_solve, real_finalize = selection.solve_allocation, selection.finalize_on_set
-        monkeypatch.setattr(selection, "solve_allocation", lambda t, o: solved.append(t) or real_solve(t, o))
+
+        def solve_spy(t, o, start=None):
+            solved.append(t)
+            starts.append(start)
+            return real_solve(t, o, start)
+
+        monkeypatch.setattr(selection, "solve_allocation", solve_spy)
         monkeypatch.setattr(selection, "finalize_on_set", lambda t, r, o: finalized.append(t) or real_finalize(t, r, o))
         trimmed = 0
         for seed in range(20):  # the select-u12 benchmark drops
             sc = blocked_scenario(12, seed=seed, walls_random=4)
             solved.clear()
+            starts.clear()
             rep = run(sc)
+            # the first solve is cold; the extended and trimmed ones start
+            # from the solution at hand
+            assert starts[0] is None and all(s is not None and s.vertices for s in starts[1:])
             if len(solved) == len(rep.objective_trace):
                 continue  # the last relaxed solve was on the final set
             trimmed += 1

@@ -316,6 +316,87 @@ class TestSparseStart:
             check_certificate(a2)
 
 
+class TestStartFromAnotherTable:
+    """solve_allocation(table, start=alloc) with alloc solved on another
+    table of the same scenario: the start's vertices are carried over by
+    pattern mask, and those of patterns the table lacks are dropped."""
+
+    @staticmethod
+    def carried_masks(start, table):
+        return [(table.patterns[i].mask, assign, w) for (i, assign), w in solver._carry(start, table)]
+
+    def test_a_start_lands_on_its_patterns_whatever_the_column_order(self):
+        rng = np.random.default_rng(3)
+        for seed in (5, 8, 13):
+            sc = gen_scenario(6, seed=seed, walls_random=4)
+            alloc, table = brute_force(sc)
+            perm = rng.permutation(table.num_patterns)
+            shuffled = build_rate_table(sc, build_gains(sc), [table.patterns[k] for k in perm])
+            # the same vertices and weights, each under its pattern's new column
+            assert self.carried_masks(alloc, shuffled) == [
+                (table.patterns[i].mask, assign, w) for (i, assign), w in alloc.vertices]
+            warm = solve_allocation(shuffled, start=alloc)
+            # the start is optimal on the permuted table too: it certifies at
+            # the first iteration, with the time shares permuted
+            assert warm.converged and warm.iterations == 1
+            np.testing.assert_allclose(warm.x, alloc.x[perm], rtol=0, atol=1e-15)  # renormalized
+            assert warm.objective == pytest.approx(alloc.objective, rel=1e-12)
+
+    def test_vertices_of_absent_patterns_are_dropped_and_the_rest_renormalized(self):
+        tol = SolverOptions().tolerance
+        for seed in (5, 8, 13):
+            sc = gen_scenario(6, seed=seed, walls_random=4)
+            alloc, table = brute_force(sc)
+            support = [table.patterns[i] for i in np.flatnonzero(alloc.x > 0)]
+            gone = {support[0].mask}
+            sub = build_rate_table(sc, build_gains(sc), [p for p in table.patterns if p.mask not in gone])
+            carried = self.carried_masks(alloc, sub)
+            kept = [(table.patterns[i].mask, assign, w) for (i, assign), w in alloc.vertices
+                    if table.patterns[i].mask not in gone]
+            assert carried == kept and 0 < len(carried) < len(alloc.vertices)
+            assert sum(w for _, _, w in carried) < 1.0
+            warm = solve_allocation(sub, start=alloc)
+            cold = solve_allocation(sub)
+            assert warm.x.sum() == pytest.approx(1.0, abs=1e-12)
+            assert warm.converged and warm.x[[p.mask in gone for p in sub.patterns]].sum() == 0.0
+            assert abs(warm.objective - cold.objective) <= tol * max(abs(cold.objective), 1.0)
+            check_certificate(warm)
+
+    def test_a_start_that_leaves_a_user_at_zero_rate_still_converges(self):
+        tol = SolverOptions().tolerance
+        starved = 0
+        for seed in range(6):
+            sc = gen_scenario(6, seed=seed, walls_random=4)
+            alloc, table = brute_force(sc)
+            # keep the pattern of the first vertex and every pattern the
+            # solution does not use, so one pattern's vertices survive
+            first = table.patterns[alloc.vertices[0][0][0]]
+            keep = [p for i, p in enumerate(table.patterns) if p is first or alloc.x[i] == 0]
+            sub = build_rate_table(sc, build_gains(sc), keep)
+            carried = solver._carry(alloc, sub)
+            wc = sub.bandwidth_hz * sub.c
+            patterns, assign, weights = _warm_start(carried, wc)
+            rates = weights @ _vertex_rates(wc, patterns, assign)
+            if rates.min() > 0:
+                continue
+            starved += 1
+            warm = solve_allocation(sub, start=alloc)
+            cold = solve_allocation(sub)
+            assert warm.converged
+            assert abs(warm.objective - cold.objective) <= tol * max(abs(cold.objective), 1.0)
+            check_certificate(warm)
+        assert starved >= 3
+
+    def test_a_start_whose_patterns_are_all_absent_is_a_cold_start(self):
+        sc = gen_scenario(5, seed=2, walls_random=4)
+        alloc, table = brute_force(sc)
+        unused = [p for i, p in enumerate(table.patterns) if alloc.x[i] == 0]
+        sub = build_rate_table(sc, build_gains(sc), unused)
+        assert solver._carry(alloc, sub) == ()
+        warm, cold = solve_allocation(sub, start=alloc), solve_allocation(sub)
+        assert np.array_equal(warm.x, cold.x) and warm.objective == cold.objective
+
+
 class TestStepDesign:
     # Every iteration adds the oracle vertex and re-optimizes all vertex
     # weights with at most two Newton steps, so a solve ends once the
