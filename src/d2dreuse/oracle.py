@@ -73,83 +73,45 @@ def effective_rate_columns(allocation: Allocation, rate_table: RateTable) -> tup
     satisfies columns @ x[support] = effective rates.  Columns are returned
     in Mbps to keep the later pivoting well scaled.
     """
-    support = np.flatnonzero(allocation.x > 0)
-    num_users = rate_table.num_users
-    w = rate_table.bandwidth_hz
-    cols = np.zeros((num_users, len(support)))
-    for k, i in enumerate(support):
-        tau = allocation.y[:, :, i] / allocation.x[i]
-        per_link = w * tau * rate_table.c[:, :, i]
-        r_bar = per_link.sum(axis=1)
-        r_tilde = per_link.sum(axis=0)  # (N,)
-        cols[:, k] = (r_bar - r_tilde[1:]) / 1e6
-    return cols, support
+    s = np.flatnonzero(allocation.x > 0)
+    per_link = allocation.y[:, :, s] / allocation.x[s] * rate_table.c[:, :, s] * rate_table.bandwidth_hz / 1e6
+    return per_link.sum(axis=1) - per_link.sum(axis=0)[1:], s
 
 
 def reduce_support(phi: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Sparsify a time-reuse profile while preserving the rate vector.
 
-    Repeatedly finds a null-space direction of the rate-plus-mass
-    constraint matrix restricted to the current support and drives one
-    coordinate to zero, until the surviving columns are affinely
-    independent.  The result keeps phi @ x and the total mass, with at
-    most U + 1 (typically U) surviving shares.
+    While the columns of [phi; 1] on the support are affinely dependent,
+    steps along a null-space direction to the first share that reaches
+    zero.  The result keeps phi @ x and the total mass, with at most
+    U + 1 (typically U) surviving shares.
     """
     phi = np.asarray(phi, dtype=float)
     x = np.asarray(x, dtype=float).copy()
     if np.any(x < 0):
         raise ValueError("time shares must be nonnegative")
-    num_users, k = phi.shape
+    k = phi.shape[1]
     if x.shape != (k,):
         raise ValueError("x must align with phi columns")
     a = np.vstack([phi, np.ones(k)])
-    b = a @ x  # original rate vector and total mass, preserved throughout
     # row scaling for conditioning; does not change the null space
-    row_scale = np.maximum(np.abs(a).max(axis=1), 1.0)
-    a_scaled = a / row_scale[:, None]
-
+    a_scaled = a / np.maximum(np.abs(a).max(axis=1), 1.0)[:, None]
     while True:
         active = np.flatnonzero(x > 0)
         if len(active) <= 1:
-            break
+            return x
         sub = a_scaled[:, active]
-        _, s, vt = np.linalg.svd(sub, full_matrices=True)
-        tol = max(sub.shape) * np.finfo(float).eps * (s[0] if len(s) else 1.0)
-        rank = int((s > tol).sum())
-        if rank >= len(active):
-            break  # columns affinely independent: nothing left to remove
+        _, s, vt = np.linalg.svd(sub)
+        if (s > max(sub.shape) * np.finfo(float).eps * s[0]).sum() >= len(active):
+            return x  # columns affinely independent: nothing left to remove
+        # d sums to zero (the mass row), so it has a positive entry
         d = vt[-1]
         xa = x[active]
-        # step to the first zero in each direction; prefer wiping the
-        # smaller share (deterministic, biased toward the sparse face)
-        steps = {}
-        for sign in (1.0, -1.0):
-            dd = sign * d
-            pos = dd > 1e-14
-            if not pos.any():
-                continue
-            ratios = xa[pos] / dd[pos]
-            j_local = int(np.argmin(ratios))
-            t = float(ratios[j_local])
-            j = np.flatnonzero(pos)[j_local]
-            steps[sign] = (t, j, dd)
-        if not steps:
-            break
-        sign = min(steps, key=lambda sgn: (xa[steps[sgn][1]], -sgn))
-        t, j, dd = steps[sign]
-        xa = xa - t * dd
+        pos = np.flatnonzero(d > 0)
+        j = pos[np.argmin(xa[pos] / d[pos])]
+        xa = np.maximum(xa - xa[j] / d[j] * d, 0.0)
         xa[j] = 0.0
-        xa = np.maximum(xa, 0.0)
         x[active] = xa
-    # final refinement on the surviving support against the original targets
-    support = np.flatnonzero(x > 0)
-    sol, *_ = np.linalg.lstsq(a[:, support], b, rcond=None)
-    if np.all(sol >= -1e-12):
-        refined = np.zeros_like(x)
-        refined[support] = np.maximum(sol, 0.0)
-        if np.abs(a @ refined - b).max() <= np.abs(a @ x - b).max():
-            x = refined
-    return x
 
 
 def _fixed_set_report(

@@ -409,7 +409,7 @@ def _fw_solve(rate_table: RateTable, options: SolverOptions, start: tuple = ()) 
             if min_r >= eps:
                 # exit on the certificate that is returned, whose rates are
                 # recomputed from (x, y) and may differ in the last bits
-                alloc = _assemble(rate_table, active, it, True, counts)
+                alloc = _assemble(rate_table, wc, active, it, True, counts)
                 if alloc.fw_gap <= tol * max(abs(alloc.objective), 1.0):
                     return alloc
             else:
@@ -437,7 +437,7 @@ def _fw_solve(rate_table: RateTable, options: SolverOptions, start: tuple = ()) 
     r = active.rates()
     if float(r.min()) <= 0.0:
         raise InfeasibleError("no strictly positive effective-rate point found")
-    return _assemble(rate_table, active, it, False, counts)
+    return _assemble(rate_table, wc, active, it, False, counts)
 
 
 def _certificate(wc: np.ndarray, rates: Rates) -> float:
@@ -446,7 +446,9 @@ def _certificate(wc: np.ndarray, rates: Rates) -> float:
     return float(pattern_scores(wc, inv)[0].max()) - float(np.dot(inv, rates.r_eff))
 
 
-def _assemble(rate_table: RateTable, active: _ActiveSet, iterations: int, converged: bool, counts: dict) -> Allocation:
+def _assemble(
+    rate_table: RateTable, wc: np.ndarray, active: _ActiveSet, iterations: int, converged: bool, counts: dict
+) -> Allocation:
     num_users, num_servers, num_patterns = rate_table.c.shape
     x = np.zeros(num_patterns)
     y = np.zeros((num_users, num_servers, num_patterns))
@@ -457,7 +459,7 @@ def _assemble(rate_table: RateTable, active: _ActiveSet, iterations: int, conver
         y[list(assign), servers, i] += w
     rates = rates_from_allocation(rate_table, y)
     objective = float(np.log(rates.r_eff).sum())
-    fw_gap = _certificate(rate_table.bandwidth_hz * rate_table.c, rates)
+    fw_gap = _certificate(wc, rates)
     vertices = tuple((key, float(w)) for key, w in zip(active.keys, active.w))
     return Allocation(
         x=x, y=y, rates=rates, objective=objective, fw_gap=fw_gap, iterations=iterations,

@@ -76,24 +76,35 @@ def test_criterion_1_support_bound_after_reduction():
           f"<= U+1 on all, {elapsed:.1f}s")
 
 
+def _cpu_seconds(call, *args):
+    t0 = time.process_time()
+    call(*args)
+    return time.process_time() - t0
+
+
 def test_criterion_2_gap_to_brute_force_and_timing(gap_runs):
     """Median GM gap <= 2%, max <= 5%; algorithm faster than brute at U=6."""
     gaps = []
     t_algo6, t_brute6 = [], []
-    for dues, algo, brute in gap_runs:
+    for k, (dues, algo, brute) in enumerate(gap_runs):
         gap = (brute.gm_throughput_mbps - algo.gm_throughput_mbps) / brute.gm_throughput_mbps
         gaps.append(gap)
         if dues == 6:
-            t_algo6.append(algo.wall_time_s)
-            t_brute6.append(brute.wall_time_s)
+            # each call takes about a millisecond here, so it is timed in CPU
+            # time, best of 3 calls with the two methods alternating
+            sc = gen_scenario(dues, seed=100 + k)
+            times = [(_cpu_seconds(run, sc), _cpu_seconds(brute_report, sc, SolverOptions())) for _ in range(3)]
+            best_algo, best_brute = np.min(times, axis=0)
+            t_algo6.append(best_algo)
+            t_brute6.append(best_brute)
     med, worst = float(np.median(gaps)), float(np.max(gaps))
     assert med <= 0.02
     assert worst <= 0.05
-    # individual runs are milliseconds here, so the ordering claim is
-    # evaluated on medians to stay clear of timer noise
-    assert np.median(t_algo6) < np.median(t_brute6)
-    print(f"criterion 2 PASS: median gap {med:.2e}, max gap {worst:.2e}, "
-          f"median t_algo(U=6) {np.median(t_algo6):.3f}s < t_brute {np.median(t_brute6):.3f}s")
+    # the ordering claim is evaluated on medians over the drops
+    t_algo, t_brute = np.median(t_algo6), np.median(t_brute6)
+    assert t_algo < t_brute
+    print(f"criterion 2 PASS: median gap {med:.2e}, max gap {worst:.2e}, median CPU t_algo(U=6) "
+          f"{1e3 * t_algo:.2f} ms < t_brute {1e3 * t_brute:.2f} ms (ratio {t_algo / t_brute:.3f})")
 
 
 def test_criterion_3_beats_both_baselines(ordering_runs):

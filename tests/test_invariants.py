@@ -15,8 +15,10 @@ import pytest
 
 from d2dreuse.cli import METHODS, gen_scenario, run_experiment
 from d2dreuse.oracle import brute_force, brute_report, bs_only_baseline, orthogonal_baseline
-from d2dreuse.selection import run
+from d2dreuse.selection import SelectionOptions, run
 from d2dreuse.solver import InfeasibleError, SolverOptions
+
+from conftest import blocked_scenario
 
 TOL = SolverOptions().tolerance
 
@@ -100,6 +102,28 @@ class TestOrdering:
               f"worst (baseline - run) / bound {worst_base:.2e}; each must be <= 1")
         assert worst_brute <= 1.0
         assert worst_base <= 1.0
+
+
+class TestSparsity:
+    def test_every_allocation_holds_at_most_u_plus_1_patterns(self):
+        """The solvers' own output is as sparse as Caratheodory allows: each
+        relaxed and final allocation of every method holds at most U+1
+        vertices and at most U+1 positive shares, with no support reduction."""
+        drops = [gen_scenario(u, s, walls_random=4) for u in (4, 6, 8) for s in range(5)]
+        drops += [blocked_scenario(12, seed=s) for s in range(3)]
+        worst, checked = -np.inf, 0
+        for sc in drops:
+            done = {}
+            for method in METHODS:
+                if method == "brute" and sc.num_due > 8:
+                    continue
+                rep = done[method] = METHODS[method](sc, SelectionOptions(), done)
+                for alloc in (rep.relaxed_allocation, rep.final_allocation):
+                    size = max(len(alloc.vertices), int(np.count_nonzero(alloc.x > 0)))
+                    assert size <= sc.num_due + 1, (method, sc.num_due, sc.seed, size)
+                    worst = max(worst, size - sc.num_due)
+                    checked += 1
+        print(f"{checked} allocations: at most U{worst:+d} vertices or positive shares; must be <= U+1")
 
 
 class TestDegenerateInputs:

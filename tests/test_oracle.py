@@ -127,15 +127,27 @@ class TestReduceSupport:
 
     def test_random_overcomplete_profiles(self):
         rng = np.random.default_rng(22)
-        for _ in range(30):
-            u, k = 2, 5
+        for u, k, sparse in [(2, 5, False)] * 30 + [(8, 200, True), (12, 60, True)] * 5:
             phi = rng.uniform(0.0, 3.0, size=(u, k))
             x = rng.dirichlet(np.ones(k))
+            if sparse:
+                # about 70% of the rate entries and 30% of the shares are zero
+                phi[rng.random((u, k)) < 0.7] = 0.0
+                x[rng.random(k) < 0.3] = 0.0
+                x /= x.sum()
             x2 = reduce_support(phi, x)
             assert (x2 > 0).sum() <= u + 1
             assert np.all(x2 >= 0)
             assert np.abs(phi @ x2 - phi @ x).max() <= 1e-9
             assert x2.sum() == pytest.approx(x.sum(), abs=1e-9)
+
+    def test_brute_force_profile_with_independent_columns_comes_back_bit_identical(self):
+        sc = gen_scenario(8, seed=1_000_000, walls_random=4)  # the first exhaustive-u8 drop of `--seed 1`
+        alloc, table = brute_force(sc)
+        cols, support = effective_rate_columns(alloc, table)
+        x = alloc.x[support]
+        assert np.linalg.matrix_rank(np.vstack([cols, np.ones(len(x))])) == len(x)
+        assert np.array_equal(reduce_support(cols, x), x)
 
     def test_rejects_negative_shares(self):
         with pytest.raises(ValueError):
