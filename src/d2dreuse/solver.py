@@ -180,7 +180,7 @@ def _lmo(wc: np.ndarray, inv: np.ndarray):
     scores, p = pattern_scores(wc, inv)
     i_star = int(np.argmax(scores))
     assign = p[:, :, i_star].argmax(axis=0)
-    return i_star, tuple(assign.tolist()), float(scores[i_star])
+    return i_star, assign, float(scores[i_star])
 
 
 def _vertex_rates(wc: np.ndarray, patterns: np.ndarray, assign: np.ndarray) -> np.ndarray:
@@ -201,60 +201,57 @@ def _vertex_rates(wc: np.ndarray, patterns: np.ndarray, assign: np.ndarray) -> n
     return phi
 
 
+_RATE_FLOOR = 1e-8  # the surrogate log's starting floor, relative to the largest efficiency
 _MAX_NEWTON_ROUNDS = 2  # Newton steps per re-optimization; re-solves after a drop are free
 _PRUNE_FLOOR = 1e-16  # active-set weight under which a vertex is dropped
 
 
 class _ActiveSet:
-    """Vertices of the current iterate with their convex weights."""
+    """Vertices of the current iterate with their convex weights.
 
-    def __init__(self, num_users: int):
-        self._cap = 64
-        self.phi = np.zeros((self._cap, num_users))
-        self.w = np.zeros(self._cap)
-        self.keys: list[tuple[int, tuple[int, ...]]] = []
-        self.index: dict[tuple[int, tuple[int, ...]], int] = {}
+    Vertex k gives pattern pat[k] all the time, with server n serving user
+    asg[k, n]; phi[k] is its effective-rate vector and w[k] its weight.
+    """
+
+    def __init__(self, wc: np.ndarray, patterns: np.ndarray, assign: np.ndarray, weights: np.ndarray):
+        self.pat = patterns  # (K,)
+        self.asg = assign.T  # (K, N)
+        self.phi = _vertex_rates(wc, patterns, assign)  # (K, U)
+        self.w = np.array(weights, dtype=float)  # a copy: normalize divides in place
         self.dropped = 0  # vertices pruned so far
-        self.peak = 0  # largest size reached
+        self.peak = len(patterns)  # largest size reached
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.pat)
 
-    def add(self, key, phi_vec: np.ndarray) -> int:
-        idx = self.index.get(key)
-        if idx is not None:
-            return idx
-        n = len(self.keys)
-        if n == self._cap:
-            self._cap *= 2
-            self.phi = np.vstack([self.phi, np.zeros_like(self.phi)])
-            self.w = np.concatenate([self.w, np.zeros_like(self.w)])
-        self.phi[n] = phi_vec
-        self.w[n] = 0.0
-        self.keys.append(key)
-        self.index[key] = n
-        self.peak = max(self.peak, n + 1)
-        return n
+    def find(self, i: int, assign: np.ndarray) -> int:
+        """Index of the vertex (i, assign), or -1 when it is not held."""
+        for k in np.flatnonzero(self.pat == i):
+            if (self.asg[k] == assign).all():
+                return int(k)
+        return -1
+
+    def add(self, i: int, assign: np.ndarray, phi_row: np.ndarray) -> None:
+        """Append the vertex (i, assign) at weight 0."""
+        self.pat = np.concatenate((self.pat, [i]))
+        self.asg = np.concatenate((self.asg, assign[None]))
+        self.phi = np.concatenate((self.phi, phi_row[None]))
+        self.w = np.concatenate((self.w, [0.0]))
+        self.peak = max(self.peak, len(self.pat))
 
     def prune(self) -> None:
         """Drop the vertices whose weight fell under _PRUNE_FLOOR, keeping order."""
-        n = len(self.keys)
-        if self.w[:n].min() >= _PRUNE_FLOOR:
+        keep = self.w >= _PRUNE_FLOOR
+        if keep.all():
             return
-        keep = np.flatnonzero(self.w[:n] >= _PRUNE_FLOOR)
-        self.phi[: len(keep)] = self.phi[keep]
-        self.w[: len(keep)] = self.w[keep]
-        self.keys = [self.keys[k] for k in keep]
-        self.index = {key: k for k, key in enumerate(self.keys)}
-        self.dropped += n - len(keep)
+        self.dropped += len(keep) - int(keep.sum())
+        self.pat, self.asg, self.phi, self.w = self.pat[keep], self.asg[keep], self.phi[keep], self.w[keep]
 
     def normalize(self) -> None:
-        n = len(self.keys)
-        self.w[:n] /= self.w[:n].sum()
+        self.w /= self.w.sum()
 
     def rates(self) -> np.ndarray:
-        n = len(self.keys)
-        return self.phi[:n].T @ self.w[:n]
+        return self.phi.T @ self.w
 
 
 def _corrective_newton(active: "_ActiveSet", eps: float) -> tuple[int, bool]:
@@ -275,8 +272,8 @@ def _corrective_newton(active: "_ActiveSet", eps: float) -> tuple[int, bool]:
         if n <= 1:
             break
         rounds += 1
-        p_mat = active.phi[:n]
-        w = active.w[:n].copy()
+        p_mat = active.phi
+        w = active.w.copy()
         r = p_mat.T @ w
         slope, curv = _phi_derivs(r, eps)
         kkt = np.ones((n + 1, n + 1))
@@ -313,7 +310,7 @@ def _corrective_newton(active: "_ActiveSet", eps: float) -> tuple[int, bool]:
             t *= 0.5
         if not accepted:
             break
-        active.w[:n] = np.maximum(w + t * dw, 0.0)
+        active.w = np.maximum(w + t * dw, 0.0)
         active.prune()
         active.normalize()
         moved = True
@@ -322,24 +319,13 @@ def _corrective_newton(active: "_ActiveSet", eps: float) -> tuple[int, bool]:
     return rounds, moved
 
 
-def _active_set(wc: np.ndarray, patterns: np.ndarray, assign: np.ndarray, weights: np.ndarray) -> _ActiveSet:
-    """Active set over the vertices (patterns[k], assign[:, k]) with the
-    given weights; vertices that are equal merge their weights."""
-    phi = _vertex_rates(wc, patterns, assign)
-    active = _ActiveSet(wc.shape[0])
-    for k, w in enumerate(weights):
-        idx = active.add((int(patterns[k]), tuple(assign[:, k].tolist())), phi[k])
-        active.w[idx] += w
-    return active
-
-
 def _first_zero(wc: np.ndarray, patterns: np.ndarray) -> np.ndarray:
     """First user each server has zero efficiency to under patterns[k],
     shape (N, K).
 
     This is the user the oracle gives a server whose best entry is 0, so a
-    vertex that records its idle servers this way is held under the
-    oracle's key.
+    vertex that records its idle servers this way has the oracle's
+    assignment.
     """
     servers = np.arange(wc.shape[1])[:, None]
     return (wc[:, servers, patterns[None, :]] == 0).argmax(axis=0)
@@ -351,8 +337,8 @@ def _sparse_start(wc: np.ndarray, link: np.ndarray):
 
     In user u's vertex the BS serves u alone, on the pattern of u's largest
     BS efficiency, and every other server serves the first user it has
-    zero efficiency to (_first_zero), so the vertex is held under the
-    oracle's key and drains no one: what a relay forwards comes out of its
+    zero efficiency to (_first_zero), so the vertex has the oracle's
+    assignment and drains no one: what a relay forwards comes out of its
     owner's rate.  A user the BS never reaches is served instead by its
     best server, on that server's best pattern for it.  Ties go to the
     lower index.
@@ -373,7 +359,7 @@ def _warm_start(vertices: tuple, wc: np.ndarray):
     A server with zero efficiency to its user in wc (one whose user a
     masked table forbids) is recorded as serving the first user it has
     zero efficiency to (_first_zero), so that one vertex is not held twice
-    under two keys.
+    under two assignments.
     """
     patterns = np.array([i for (i, _), _ in vertices])
     assign = np.array([a for (_, a), _ in vertices]).T  # (N, K)
@@ -389,8 +375,8 @@ def _fw_solve(rate_table: RateTable, options: SolverOptions, start: tuple = ()) 
         raise InfeasibleError("a user has no positive-efficiency link under this pattern set")
 
     tol = options.tolerance
-    eps = 1e-8 * float(link.max())
-    active = _active_set(wc, *(_warm_start(start, wc) if start else _sparse_start(wc, link)))
+    eps = _RATE_FLOOR * float(link.max())
+    active = _ActiveSet(wc, *(_warm_start(start, wc) if start else _sparse_start(wc, link)))
     active.normalize()
 
     counts = dict.fromkeys(("fw_steps", "polish_only", "newton_rounds", "shrinks"), 0)
@@ -422,13 +408,12 @@ def _fw_solve(rate_table: RateTable, options: SolverOptions, start: tuple = ()) 
 
         # fully corrective step: add the oracle vertex at weight 0, then
         # re-optimize the weights over every held vertex
-        key = (i_star, assign)
-        held = key in active.index
+        held = active.find(i_star, assign) >= 0
         if held:
             counts["polish_only"] += 1
         else:
             counts["fw_steps"] += 1
-            active.add(key, _vertex_rates(wc, np.array([i_star]), np.array([assign]).T)[0])
+            active.add(i_star, assign, _vertex_rates(wc, np.array([i_star]), assign[:, None])[0])
         rounds, moved = _corrective_newton(active, eps)
         counts["newton_rounds"] += rounds
         if held and not moved:
@@ -452,15 +437,15 @@ def _assemble(
     num_users, num_servers, num_patterns = rate_table.c.shape
     x = np.zeros(num_patterns)
     y = np.zeros((num_users, num_servers, num_patterns))
-    servers = np.arange(num_servers)
-    for idx, (i, assign) in enumerate(active.keys):
-        w = float(active.w[idx])
-        x[i] += w
-        y[list(assign), servers, i] += w
+    # accumulated vertex by vertex, in the active set's order
+    np.add.at(x, active.pat, active.w)
+    np.add.at(y, (active.asg, np.arange(num_servers), active.pat[:, None]), active.w[:, None])
     rates = rates_from_allocation(rate_table, y)
     objective = float(np.log(rates.r_eff).sum())
     fw_gap = _certificate(wc, rates)
-    vertices = tuple((key, float(w)) for key, w in zip(active.keys, active.w))
+    vertices = tuple(
+        ((i, tuple(assign)), w) for i, assign, w in zip(active.pat.tolist(), active.asg.tolist(), active.w.tolist())
+    )
     return Allocation(
         x=x, y=y, rates=rates, objective=objective, fw_gap=fw_gap, iterations=iterations,
         converged=converged, vertices=vertices, patterns=rate_table.patterns,
@@ -532,7 +517,7 @@ def solve_fixed_association(
         # certificate, with the same counts.
         wc = masked.bandwidth_hz * masked.c
         fw_gap = _certificate(wc, start.rates)
-        if (float(start.rates.r_eff.min()) >= 1e-8 * float(wc.max())
+        if (float(start.rates.r_eff.min()) >= _RATE_FLOOR * float(wc.max())
                 and fw_gap <= options.tolerance * max(abs(start.objective), 1.0)):
             return dataclasses.replace(
                 start, y=start.y * z, fw_gap=fw_gap, iterations=1, converged=True,

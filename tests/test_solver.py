@@ -21,7 +21,7 @@ from d2dreuse.patterns import Pattern, initial_set
 from d2dreuse.selection import round_association, run, score_pattern
 from d2dreuse.solver import (
     _ActiveSet,
-    _active_set,
+    _assemble,
     _corrective_newton,
     _phi,
     _phi_derivs,
@@ -133,19 +133,75 @@ class TestVertexRates:
             assert np.abs(phi[k] - ref).max() <= 8 * np.finfo(float).eps * 1e8 * assign.shape[0]
 
 
+def assemble_loop(shape, vertices):
+    """Reference: x and y of a convex combination of ((pattern, assign),
+    weight) vertices, added vertex by vertex."""
+    num_users, num_servers, num_patterns = shape
+    x = np.zeros(num_patterns)
+    y = np.zeros(shape)
+    servers = np.arange(num_servers)
+    for (i, assign), w in vertices:
+        x[i] += w
+        y[list(assign), servers, i] += w
+    return x, y
+
+
 class TestActiveSet:
     def test_prune_keeps_order_of_the_survivors(self):
-        active = _ActiveSet(2)
-        keys = [(i, (i % 2,)) for i in range(5)]
-        for k, key in enumerate(keys):
-            active.w[active.add(key, np.array([k, -k]))] = (0.4, 0.0, 0.3, 1e-17, 0.3)[k]
+        wc = np.arange(1.0, 31.0).reshape(2, 3, 5)
+        patterns = np.array([0, 1, 2, 3, 2])
+        assign = np.array([[0, 1, 0, 1, 0], [1, 1, 0, 0, 1], [0, 0, 1, 1, 1]])
+        weights = np.array([0.4, 0.0, 0.3, 1e-17, 0.3])
+        active = _ActiveSet(wc, patterns, assign, weights)
+        phi = _vertex_rates(wc, patterns, assign)
+        active.normalize()
+        assert weights[0] == 0.4  # the set holds a copy
         active.prune()
-        assert active.keys == [keys[0], keys[2], keys[4]]
-        assert active.index == {keys[0]: 0, keys[2]: 1, keys[4]: 2}
-        assert active.phi[:3].tolist() == [[0, 0], [2, -2], [4, -4]]
-        assert active.w[:3].tolist() == [0.4, 0.3, 0.3]
-        assert active.add(keys[1], np.array([9.0, 9.0])) == 3 and active.w[3] == 0.0
-        assert active.add(keys[2], np.array([9.0, 9.0])) == 1
+        keep = [0, 2, 4]
+        assert active.pat.tolist() == [0, 2, 2] and np.array_equal(active.asg, assign.T[keep])
+        assert np.array_equal(active.phi, phi[keep]) and np.array_equal(active.w, weights[keep])
+        assert len(active) == 3 and active.dropped == 2 and active.peak == 5
+
+    def test_find_matches_pattern_and_assignment(self):
+        wc = np.arange(1.0, 31.0).reshape(2, 3, 5)
+        patterns = np.array([2, 2, 4])
+        assign = np.array([[0, 1, 0], [1, 1, 0], [0, 0, 1]])
+        active = _ActiveSet(wc, patterns, assign, np.full(3, 1 / 3))
+        assert [active.find(2, assign[:, k]) for k in range(2)] == [0, 1]
+        assert active.find(4, assign[:, 2]) == 2
+        assert active.find(4, assign[:, 0]) == -1 and active.find(3, assign[:, 0]) == -1
+        active.add(3, assign[:, 0], np.array([9.0, 9.0]))
+        assert active.find(3, assign[:, 0]) == 3 and active.w[3] == 0.0
+        assert active.phi[3].tolist() == [9.0, 9.0] and len(active) == 4 and active.peak == 4
+
+
+class TestAssemble:
+    """_assemble adds the vertices' weights into x and y in the active
+    set's order, the order of the per-vertex loop assemble_loop."""
+
+    def test_brute_force_allocations_match_the_loop_bit_for_bit(self):
+        for num_dues, seed in [(4, 2), (6, 8), (8, 5)]:
+            alloc, table = brute_force(gen_scenario(num_dues, seed=seed, walls_random=4))
+            x, y = assemble_loop(table.c.shape, alloc.vertices)
+            assert np.array_equal(alloc.x, x) and np.array_equal(alloc.y, y)
+
+    def test_vertices_sharing_a_pattern_and_an_entry_match_the_loop_bit_for_bit(self):
+        # every relay serves its owner, so no rate is drained; vertices 0, 1
+        # and 3 share pattern 1 and the entry (user 0, server 1), and vertex 1
+        # repeats vertex 0
+        table = synthetic_table(np.arange(1.0, 13.0).reshape(2, 3, 2))
+        wc = table.bandwidth_hz * table.c
+        patterns = np.array([1, 1, 0, 1])
+        assign = np.array([[0, 0, 1, 1], [0, 0, 0, 0], [1, 1, 1, 1]])
+        weights = [0.1, 0.2, 0.25, 0.3]
+        alloc = _assemble(table, wc, _ActiveSet(wc, patterns, assign, weights), 1, True, {})
+        vertices = [((int(i), tuple(a)), w) for i, a, w in zip(patterns, assign.T.tolist(), weights)]
+        assert alloc.vertices == tuple(vertices)
+        x, y = assemble_loop(table.c.shape, vertices)
+        assert np.array_equal(alloc.x, x) and np.array_equal(alloc.y, y)
+        # the sums round differently in another order, so the order is tested
+        x_rev, y_rev = assemble_loop(table.c.shape, vertices[::-1])
+        assert x_rev[1] != x[1] and y_rev[0, 1, 1] != y[0, 1, 1]
 
 
 class TestCorrectiveNewton:
@@ -154,24 +210,25 @@ class TestCorrectiveNewton:
         alloc, table = brute_force(sc)
         wc = table.bandwidth_hz * table.c
         eps = 1e-8 * float(wc.max())
-        active = _active_set(wc, *_warm_start(alloc.vertices, wc))
+        active = _ActiveSet(wc, *_warm_start(alloc.vertices, wc))
         active.normalize()
         _corrective_newton(active, eps)  # polish the weights to the optimum
-        w = active.w[: len(active)].copy()
+        w = active.w.copy()
         phi_calls = []
         real_phi = solver._phi
         monkeypatch.setattr(solver, "_phi", lambda r, e: phi_calls.append(1) or real_phi(r, e))
         assert _corrective_newton(active, eps) == (1, False)
         assert len(phi_calls) == 1  # the value at the start; no Armijo trial point
-        assert np.array_equal(active.w[: len(active)], w)
+        assert np.array_equal(active.w, w)
 
 
 class TestTerminationRules:
     @staticmethod
     def active_set(rows):
-        active = _ActiveSet(2)
-        for k, (phi, w) in enumerate(rows):
-            active.w[active.add((k, (0,)), np.array(phi))] = w
+        """Vertices k on pattern k with the given rate rows and weights."""
+        k = len(rows)
+        active = _ActiveSet(np.zeros((2, 3, k)), np.arange(k), np.zeros((3, k), dtype=int), [w for _, w in rows])
+        active.phi = np.array([phi for phi, _ in rows])
         return active
 
     def test_a_zero_weight_vertex_pushed_below_zero_is_dropped_outside_the_step_budget(self):
@@ -183,8 +240,8 @@ class TestTerminationRules:
         assert _corrective_newton(ref, 1e-8) == (solver._MAX_NEWTON_ROUNDS, True)
         active = self.active_set(rows + [([0.1, 0.1], 0.0)])
         assert _corrective_newton(active, 1e-8) == (solver._MAX_NEWTON_ROUNDS + 1, True)
-        assert active.keys == ref.keys and active.dropped == 1
-        assert np.array_equal(active.w[:2], ref.w[:2])
+        assert active.pat.tolist() == ref.pat.tolist() and active.dropped == 1
+        assert np.array_equal(active.w, ref.w)
 
     def test_a_held_vertex_with_no_weight_moved_ends_the_solve_unconverged(self, monkeypatch):
         _, table = brute_force(gen_scenario(5, seed=1, walls_random=4))
@@ -386,6 +443,18 @@ class TestStartFromAnotherTable:
             assert abs(warm.objective - cold.objective) <= tol * max(abs(cold.objective), 1.0)
             check_certificate(warm)
         assert starved >= 3
+
+    def test_a_start_that_holds_every_vertex_twice_converges(self):
+        # equal start vertices are held side by side, each at its own weight
+        tol = SolverOptions().tolerance
+        for seed in range(5):
+            alloc, table = brute_force(gen_scenario(6, seed, walls_random=4))
+            early = solve_allocation(table, SolverOptions(max_iters=3))
+            twice = tuple((key, w / 2) for key, w in early.vertices) * 2
+            warm = solve_allocation(table, start=dataclasses.replace(early, vertices=twice))
+            assert warm.converged and warm.stats.peak_active >= len(twice)
+            assert abs(warm.objective - alloc.objective) <= tol * abs(alloc.objective)
+            check_certificate(warm)
 
     def test_a_start_whose_patterns_are_all_absent_is_a_cold_start(self):
         sc = gen_scenario(5, seed=2, walls_random=4)
