@@ -237,7 +237,7 @@ def run(scenario: Scenario, options: SelectionOptions = SelectionOptions()) -> S
     sizes = [len(current)]
     flags = {"converged": False, "pattern_cap_hit": False, "stalled": False}
 
-    p_prev = -1.0
+    p_prev = float("-inf")
     p_cur = alloc.objective
     t = 1
     # the BS-only augmentation may push |V^1| to U+1; the size guard only

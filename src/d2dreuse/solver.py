@@ -5,11 +5,14 @@ time-share polytope) is solved by fully corrective Frank-Wolfe
 (simplicial decomposition).  The linear oracle decomposes exactly: pick
 one pattern, then for each server the user with the largest gradient
 entry, so every iterate is an explicit convex combination of (pattern,
-per-server user assignment) vertices.  Each iteration that does not
-certify adds the oracle vertex at weight 0 (unless it is already held)
-and re-optimizes the weights over all held vertices with at most two
-steps of Newton's method on the simplex; that is the one weight update,
-with no step-size search and no schedule.  Two rules keep it moving:
+per-server user assignment) vertices.  The objective sees only a
+vertex's rate vector, so a vertex is its pattern and its rate vector,
+whichever user a server with nothing to give serves.  Each iteration
+that does not certify adds the oracle vertex at weight 0 (unless it is
+already held) and re-optimizes the weights over all held vertices with
+at most two steps of Newton's method on the simplex; that is the one
+weight update, with no step-size search and no schedule.  Two rules
+keep it moving:
 
 * a vertex at weight 0 whose Newton component is negative leaves the
   active set, and the Newton system is solved again over the rest, a
@@ -24,14 +27,15 @@ certificate test.
 
 The start is sparse: an optimum needs only about U active patterns
 (Caratheodory), so the solve begins from one vertex per user, in which
-the BS serves that user alone on its best BS pattern, and the oracle
-brings in any other vertex it needs.  Relaying is zero-sum in effective
-rate (what a relay forwards comes out of its owner's rate), so these
-vertices drain no one, and their uniform mix gives every user the BS
-reaches a positive rate.  This keeps the active set, and with it
-the corrective Newton system over the vertex weights, small however many
-patterns the table holds.  A caller may instead start from an earlier
-solution on any table of the same scenario (see solve_allocation).
+the BS serves that user alone on its best BS pattern and every relay
+serves its own user, and the oracle brings in any other vertex it needs.
+Relaying is zero-sum in effective rate (what a relay forwards comes out
+of its owner's rate), so these vertices drain no one, and their uniform
+mix gives every user the BS reaches a positive rate.  This keeps the
+active set, and with it the corrective Newton system over the vertex
+weights, small however many patterns the table holds.  A caller may
+instead start from an earlier solution on any table of the same
+scenario (see solve_allocation).
 
 Strict rate positivity is handled with a tangent-extended logarithm: below
 a small rate floor the log is continued linearly, which keeps the
@@ -98,11 +102,9 @@ class Allocation:
     fw_gap: float
     iterations: int
     converged: bool
-    # ((pattern index, per-server user), weight) pairs of the returned convex
-    # combination; a later solve can start from them
+    # ((Pattern, per-server user), weight) pairs of the returned convex
+    # combination; a later solve on any table of the scenario can start from them
     vertices: tuple = field(default=(), repr=False, compare=False)
-    # the patterns of the table's columns, which the vertices' indices name
-    patterns: tuple = field(default=(), repr=False, compare=False)
     stats: SolveStats = field(default=SolveStats(), compare=False)
 
     def to_dict(self, rate_table: Optional[RateTable] = None) -> dict:
@@ -174,8 +176,8 @@ def _lmo(wc: np.ndarray, inv: np.ndarray):
     """Best vertex for the linearized objective.
 
     Returns (pattern index, per-server user assignment, score).  Every
-    server serves the first user of largest entry; where that entry is 0
-    this is the first user the server has zero efficiency to.
+    server serves the first user of largest entry; which user a server
+    whose largest entry is 0 serves does not change the vertex's rates.
     """
     scores, p = pattern_scores(wc, inv)
     i_star = int(np.argmax(scores))
@@ -224,10 +226,12 @@ class _ActiveSet:
     def __len__(self) -> int:
         return len(self.pat)
 
-    def find(self, i: int, assign: np.ndarray) -> int:
-        """Index of the vertex (i, assign), or -1 when it is not held."""
+    def find(self, i: int, phi_row: np.ndarray) -> int:
+        """Index of the held vertex on pattern i with rate vector phi_row,
+        or -1 when it is not held; its assignment may differ in which user
+        a server with nothing to give serves."""
         for k in np.flatnonzero(self.pat == i):
-            if (self.asg[k] == assign).all():
+            if (self.phi[k] == phi_row).all():
                 return int(k)
         return -1
 
@@ -319,56 +323,38 @@ def _corrective_newton(active: "_ActiveSet", eps: float) -> tuple[int, bool]:
     return rounds, moved
 
 
-def _first_zero(wc: np.ndarray, patterns: np.ndarray) -> np.ndarray:
-    """First user each server has zero efficiency to under patterns[k],
-    shape (N, K).
-
-    This is the user the oracle gives a server whose best entry is 0, so a
-    vertex that records its idle servers this way has the oracle's
-    assignment.
-    """
-    servers = np.arange(wc.shape[1])[:, None]
-    return (wc[:, servers, patterns[None, :]] == 0).argmax(axis=0)
-
-
 def _sparse_start(wc: np.ndarray, link: np.ndarray):
     """One vertex per user, as (patterns, assign, weights) with equal
     weights; link[u, n] is user u's largest efficiency from server n.
 
     In user u's vertex the BS serves u alone, on the pattern of u's largest
-    BS efficiency, and every other server serves the first user it has
-    zero efficiency to (_first_zero), so the vertex has the oracle's
-    assignment and drains no one: what a relay forwards comes out of its
-    owner's rate.  A user the BS never reaches is served instead by its
-    best server, on that server's best pattern for it.  Ties go to the
-    lower index.
+    BS efficiency, and every relay serves its own user, which drains no
+    one: what a relay forwards comes out of its owner's rate.  A user the
+    BS never reaches is served instead by its best server, on that
+    server's best pattern for it.  Ties go to the lower index.
     """
     num_users = wc.shape[0]
     users = np.arange(num_users)
     servers = np.where(link[:, 0] > 0, 0, link.argmax(axis=1))
     patterns = wc[users, servers].argmax(axis=1)
-    assign = _first_zero(wc, patterns)
+    assign = np.vstack((users, np.broadcast_to(users[:, None], (num_users, num_users))))  # relay 1+v serves v
     assign[servers, users] = users
     return patterns, assign, np.full(num_users, 1.0 / num_users)
 
 
-def _warm_start(vertices: tuple, wc: np.ndarray):
-    """An earlier solution's vertices, on the table wc, as (patterns,
-    assign, weights).
-
-    A server with zero efficiency to its user in wc (one whose user a
-    masked table forbids) is recorded as serving the first user it has
-    zero efficiency to (_first_zero), so that one vertex is not held twice
-    under two assignments.
-    """
-    patterns = np.array([i for (i, _), _ in vertices])
-    assign = np.array([a for (_, a), _ in vertices]).T  # (N, K)
-    servers = np.arange(assign.shape[0])[:, None]
-    assign = np.where(wc[assign, servers, patterns[None, :]] == 0, _first_zero(wc, patterns), assign)
-    return patterns, assign, np.array([w for _, w in vertices])
+def _carry(start: Allocation, rate_table: RateTable):
+    """start's vertices on rate_table's columns, matched by pattern mask,
+    as (patterns, assign, weights), less those of patterns the table lacks
+    (the solve renormalizes); None when no vertex is left."""
+    column = {p.mask: k for k, p in enumerate(rate_table.patterns)}
+    kept = [(column[p.mask], assign, w) for (p, assign), w in start.vertices if p.mask in column]
+    if not kept:
+        return None
+    patterns, assign, weights = zip(*kept)
+    return np.array(patterns), np.array(assign).T, np.array(weights)
 
 
-def _fw_solve(rate_table: RateTable, options: SolverOptions, start: tuple = ()) -> Allocation:
+def _fw_solve(rate_table: RateTable, options: SolverOptions, start: Optional[Allocation] = None) -> Allocation:
     wc = rate_table.bandwidth_hz * rate_table.c
     link = wc.max(axis=2)  # (U, N): each user's best efficiency from each server
     if not np.all(link.max(axis=1) > 0):
@@ -376,7 +362,8 @@ def _fw_solve(rate_table: RateTable, options: SolverOptions, start: tuple = ()) 
 
     tol = options.tolerance
     eps = _RATE_FLOOR * float(link.max())
-    active = _ActiveSet(wc, *(_warm_start(start, wc) if start else _sparse_start(wc, link)))
+    carried = _carry(start, rate_table) if start is not None else None
+    active = _ActiveSet(wc, *(carried if carried is not None else _sparse_start(wc, link)))
     active.normalize()
 
     counts = dict.fromkeys(("fw_steps", "polish_only", "newton_rounds", "shrinks"), 0)
@@ -408,12 +395,13 @@ def _fw_solve(rate_table: RateTable, options: SolverOptions, start: tuple = ()) 
 
         # fully corrective step: add the oracle vertex at weight 0, then
         # re-optimize the weights over every held vertex
-        held = active.find(i_star, assign) >= 0
+        phi_row = _vertex_rates(wc, np.array([i_star]), assign[:, None])[0]
+        held = active.find(i_star, phi_row) >= 0
         if held:
             counts["polish_only"] += 1
         else:
             counts["fw_steps"] += 1
-            active.add(i_star, assign, _vertex_rates(wc, np.array([i_star]), assign[:, None])[0])
+            active.add(i_star, assign, phi_row)
         rounds, moved = _corrective_newton(active, eps)
         counts["newton_rounds"] += rounds
         if held and not moved:
@@ -443,22 +431,13 @@ def _assemble(
     rates = rates_from_allocation(rate_table, y)
     objective = float(np.log(rates.r_eff).sum())
     fw_gap = _certificate(wc, rates)
-    vertices = tuple(
-        ((i, tuple(assign)), w) for i, assign, w in zip(active.pat.tolist(), active.asg.tolist(), active.w.tolist())
-    )
+    vertices = tuple(((rate_table.patterns[i], tuple(assign)), w)
+                     for i, assign, w in zip(active.pat.tolist(), active.asg.tolist(), active.w.tolist()))
     return Allocation(
         x=x, y=y, rates=rates, objective=objective, fw_gap=fw_gap, iterations=iterations,
-        converged=converged, vertices=vertices, patterns=rate_table.patterns,
+        converged=converged, vertices=vertices,
         stats=SolveStats(**counts, dropped=active.dropped, peak_active=active.peak),
     )
-
-
-def _carry(start: Allocation, rate_table: RateTable) -> tuple:
-    """start's vertices on rate_table's columns, matched by pattern mask,
-    less those of patterns the table lacks (the solve renormalizes)."""
-    column = {p.mask: k for k, p in enumerate(rate_table.patterns)}
-    masks = [p.mask for p in start.patterns]
-    return tuple(((column[masks[i]], assign), w) for (i, assign), w in start.vertices if masks[i] in column)
 
 
 def solve_allocation(
@@ -475,7 +454,7 @@ def solve_allocation(
     point exists; a run that exhausts the iteration budget returns its
     best iterate with converged=False.
     """
-    return _fw_solve(rate_table, options, _carry(start, rate_table) if start is not None else ())
+    return _fw_solve(rate_table, options, start)
 
 
 def solve_fixed_association(
@@ -523,5 +502,5 @@ def solve_fixed_association(
                 start, y=start.y * z, fw_gap=fw_gap, iterations=1, converged=True,
                 stats=SolveStats(peak_active=len(start.vertices)),
             )
-    alloc = _fw_solve(masked, options, start=start.vertices if start is not None else ())
+    alloc = _fw_solve(masked, options, start)
     return dataclasses.replace(alloc, y=alloc.y * z)

@@ -71,8 +71,8 @@ class TestMetamorphic:
             assert algo_err <= bound
             assert rate_err <= rate_bound
 
-    @pytest.mark.parametrize("k", [0.5, 3.0])
-    def test_scaling_bandwidth_shifts_pf_by_u_ln_k(self, drop, k):
+    @staticmethod
+    def check_bandwidth_shift(drop, k):
         sc, brute, algo = drop
         bound = TOL * max(abs(brute.objective), 1.0)
         shift = sc.num_due * np.log(k)
@@ -83,6 +83,16 @@ class TestMetamorphic:
               f"(bound {bound:.2e})")
         assert brute_err <= bound
         assert algo_err <= bound
+
+    @pytest.mark.parametrize("k", [0.5, 3.0])
+    def test_scaling_bandwidth_shifts_pf_by_u_ln_k(self, drop, k):
+        self.check_bandwidth_shift(drop, k)
+
+    def test_scaling_bandwidth_to_a_first_relaxed_pf_of_minus_one_shifts_pf_by_u_ln_k(self, drop):
+        # -1 is a PF value like any other: the selection loop still prices
+        # candidates when its first relaxed solve lands on it
+        sc, _, algo = drop
+        self.check_bandwidth_shift(drop, np.exp((-1.0 - algo.objective_trace[0]) / sc.num_due))
 
 
 class TestOrdering:

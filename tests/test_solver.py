@@ -27,7 +27,6 @@ from d2dreuse.solver import (
     _phi_derivs,
     _sparse_start,
     _vertex_rates,
-    _warm_start,
 )
 
 from test_model import synthetic_table
@@ -133,14 +132,15 @@ class TestVertexRates:
             assert np.abs(phi[k] - ref).max() <= 8 * np.finfo(float).eps * 1e8 * assign.shape[0]
 
 
-def assemble_loop(shape, vertices):
-    """Reference: x and y of a convex combination of ((pattern, assign),
-    weight) vertices, added vertex by vertex."""
-    num_users, num_servers, num_patterns = shape
+def assemble_loop(table, vertices):
+    """Reference: x and y on table of a convex combination of ((Pattern,
+    assign), weight) vertices, added vertex by vertex."""
+    num_users, num_servers, num_patterns = table.c.shape
     x = np.zeros(num_patterns)
-    y = np.zeros(shape)
+    y = np.zeros(table.c.shape)
     servers = np.arange(num_servers)
-    for (i, assign), w in vertices:
+    for (p, assign), w in vertices:
+        i = table.patterns.index(p)
         x[i] += w
         y[list(assign), servers, i] += w
     return x, y
@@ -162,17 +162,36 @@ class TestActiveSet:
         assert np.array_equal(active.phi, phi[keep]) and np.array_equal(active.w, weights[keep])
         assert len(active) == 3 and active.dropped == 2 and active.peak == 5
 
-    def test_find_matches_pattern_and_assignment(self):
+    def test_find_matches_pattern_and_rate_row(self):
         wc = np.arange(1.0, 31.0).reshape(2, 3, 5)
         patterns = np.array([2, 2, 4])
         assign = np.array([[0, 1, 0], [1, 1, 0], [0, 0, 1]])
         active = _ActiveSet(wc, patterns, assign, np.full(3, 1 / 3))
-        assert [active.find(2, assign[:, k]) for k in range(2)] == [0, 1]
-        assert active.find(4, assign[:, 2]) == 2
-        assert active.find(4, assign[:, 0]) == -1 and active.find(3, assign[:, 0]) == -1
+        phi = _vertex_rates(wc, patterns, assign)
+        assert [active.find(2, phi[k]) for k in range(2)] == [0, 1]
+        assert active.find(4, phi[2]) == 2
+        # another pattern or another rate row is not held
+        assert active.find(4, phi[0]) == -1 and active.find(3, phi[0]) == -1
+        assert active.find(2, phi[0] + [0.0, 1.0]) == -1
         active.add(3, assign[:, 0], np.array([9.0, 9.0]))
-        assert active.find(3, assign[:, 0]) == 3 and active.w[3] == 0.0
+        assert active.find(3, np.array([9.0, 9.0])) == 3 and active.w[3] == 0.0
         assert active.phi[3].tolist() == [9.0, 9.0] and len(active) == 4 and active.peak == 4
+
+    def test_find_returns_the_held_vertex_for_an_equal_rate_row_under_any_assignment(self):
+        # pattern 0 has server 2 off: it gives nothing to any user, so every
+        # user it could serve leaves the vertex's rates as they are
+        wc = 2e7 * np.arange(1.0, 19.0).reshape(2, 3, 3)
+        wc[:, 2, 0] = 0.0
+        held = np.array([[1], [0], [0]])
+        active = _ActiveSet(wc, np.array([0]), held, [1.0])
+        for user in (0, 1):
+            assign = held[:, 0].copy()
+            assign[2] = user
+            phi_row = _vertex_rates(wc, np.array([0]), assign[:, None])[0]
+            assert np.array_equal(phi_row, active.phi[0]) and active.find(0, phi_row) == 0
+        # server 1 serving user 1 moves rate, so that vertex is another one
+        assign = np.array([1, 1, 0])
+        assert active.find(0, _vertex_rates(wc, np.array([0]), assign[:, None])[0]) == -1
 
 
 class TestAssemble:
@@ -182,7 +201,7 @@ class TestAssemble:
     def test_brute_force_allocations_match_the_loop_bit_for_bit(self):
         for num_dues, seed in [(4, 2), (6, 8), (8, 5)]:
             alloc, table = brute_force(gen_scenario(num_dues, seed=seed, walls_random=4))
-            x, y = assemble_loop(table.c.shape, alloc.vertices)
+            x, y = assemble_loop(table, alloc.vertices)
             assert np.array_equal(alloc.x, x) and np.array_equal(alloc.y, y)
 
     def test_vertices_sharing_a_pattern_and_an_entry_match_the_loop_bit_for_bit(self):
@@ -195,12 +214,12 @@ class TestAssemble:
         assign = np.array([[0, 0, 1, 1], [0, 0, 0, 0], [1, 1, 1, 1]])
         weights = [0.1, 0.2, 0.25, 0.3]
         alloc = _assemble(table, wc, _ActiveSet(wc, patterns, assign, weights), 1, True, {})
-        vertices = [((int(i), tuple(a)), w) for i, a, w in zip(patterns, assign.T.tolist(), weights)]
+        vertices = [((table.patterns[i], tuple(a)), w) for i, a, w in zip(patterns, assign.T.tolist(), weights)]
         assert alloc.vertices == tuple(vertices)
-        x, y = assemble_loop(table.c.shape, vertices)
+        x, y = assemble_loop(table, vertices)
         assert np.array_equal(alloc.x, x) and np.array_equal(alloc.y, y)
         # the sums round differently in another order, so the order is tested
-        x_rev, y_rev = assemble_loop(table.c.shape, vertices[::-1])
+        x_rev, y_rev = assemble_loop(table, vertices[::-1])
         assert x_rev[1] != x[1] and y_rev[0, 1, 1] != y[0, 1, 1]
 
 
@@ -210,7 +229,7 @@ class TestCorrectiveNewton:
         alloc, table = brute_force(sc)
         wc = table.bandwidth_hz * table.c
         eps = 1e-8 * float(wc.max())
-        active = _ActiveSet(wc, *_warm_start(alloc.vertices, wc))
+        active = _ActiveSet(wc, *solver._carry(alloc, table))
         active.normalize()
         _corrective_newton(active, eps)  # polish the weights to the optimum
         w = active.w.copy()
@@ -309,10 +328,9 @@ class TestSparseStart:
         wc[1, 0, 3] *= 2.0  # user 1's best BS pattern is now 3; user 0's tie goes to pattern 0
         patterns, assign, weights = self.start(wc)
         assert patterns.tolist() == [0, 3]
-        # the BS serves the vertex's user; every other server serves the
-        # first user it has zero efficiency to, so user 1's relay (server 2)
-        # serves user 1 and not user 0 on pattern 3
-        assert assign.tolist() == [[0, 1], [0, 0], [0, 1]]
+        # the BS serves the vertex's user and every relay its own user, so
+        # user 1's relay (server 2) serves user 1 and not user 0 on pattern 3
+        assert assign.tolist() == [[0, 1], [0, 0], [1, 1]]
         assert weights == pytest.approx([1 / 2] * 2)
         phi = _vertex_rates(wc, patterns, assign)
         assert phi.tolist() == [[4e7, 0.0], [0.0, 4e7]]
@@ -346,14 +364,25 @@ class TestSparseStart:
             assert np.all(phi >= 0)
             assert np.all(weights @ phi > 0)
 
-    def test_warm_start_keeps_the_keys_of_a_solution(self):
-        # every start vertex is held under the oracle's key, so a solution's
-        # vertices come back unchanged
+    def test_a_relay_serving_its_own_user_gives_that_user_nothing(self):
+        # user 1's relay (server 2) has positive efficiency to user 1 itself,
+        # as no drop's table does; what it forwards comes out of user 1's rate
+        rng = np.random.default_rng(4)
+        wc = 2e7 * rng.uniform(0.5, 3.0, size=(3, 4, 5))
+        patterns, assign, _ = self.start(wc)
+        assert assign[1:].tolist() == [[0] * 3, [1] * 3, [2] * 3]
+        phi = _vertex_rates(wc, patterns, assign)
+        own = wc[1, 2, patterns]
+        assert np.all(own > 0)
+        assert phi[0, 1] == 0.0 and phi[2, 1] == 0.0  # exactly: own - own
+        assert phi[1, 1] == pytest.approx(wc[1, 0, patterns[1]], rel=1e-15)
+
+    def test_carry_keeps_the_vertices_of_a_solution_on_its_table(self):
+        # no assignment is remapped: a solution's vertices come back as they are
         for seed in range(10):
             alloc, table = brute_force(gen_scenario(8, seed=seed, walls_random=4))
-            wc = table.bandwidth_hz * table.c
-            patterns, assign, weights = _warm_start(alloc.vertices, wc)
-            keys = [(int(i), tuple(a)) for i, a in zip(patterns, assign.T.tolist())]
+            patterns, assign, weights = solver._carry(alloc, table)
+            keys = [(table.patterns[i], tuple(a)) for i, a in zip(patterns.tolist(), assign.T.tolist())]
             assert keys == [key for key, _ in alloc.vertices]
             assert weights.tolist() == [w for _, w in alloc.vertices]
 
@@ -380,7 +409,9 @@ class TestStartFromAnotherTable:
 
     @staticmethod
     def carried_masks(start, table):
-        return [(table.patterns[i].mask, assign, w) for (i, assign), w in solver._carry(start, table)]
+        patterns, assign, weights = solver._carry(start, table)
+        return [(table.patterns[i].mask, tuple(a), w)
+                for i, a, w in zip(patterns.tolist(), assign.T.tolist(), weights.tolist())]
 
     def test_a_start_lands_on_its_patterns_whatever_the_column_order(self):
         rng = np.random.default_rng(3)
@@ -390,8 +421,7 @@ class TestStartFromAnotherTable:
             perm = rng.permutation(table.num_patterns)
             shuffled = build_rate_table(sc, build_gains(sc), [table.patterns[k] for k in perm])
             # the same vertices and weights, each under its pattern's new column
-            assert self.carried_masks(alloc, shuffled) == [
-                (table.patterns[i].mask, assign, w) for (i, assign), w in alloc.vertices]
+            assert self.carried_masks(alloc, shuffled) == [(p.mask, assign, w) for (p, assign), w in alloc.vertices]
             warm = solve_allocation(shuffled, start=alloc)
             # the start is optimal on the permuted table too: it certifies at
             # the first iteration, with the time shares permuted
@@ -408,8 +438,7 @@ class TestStartFromAnotherTable:
             gone = {support[0].mask}
             sub = build_rate_table(sc, build_gains(sc), [p for p in table.patterns if p.mask not in gone])
             carried = self.carried_masks(alloc, sub)
-            kept = [(table.patterns[i].mask, assign, w) for (i, assign), w in alloc.vertices
-                    if table.patterns[i].mask not in gone]
+            kept = [(p.mask, assign, w) for (p, assign), w in alloc.vertices if p.mask not in gone]
             assert carried == kept and 0 < len(carried) < len(alloc.vertices)
             assert sum(w for _, _, w in carried) < 1.0
             warm = solve_allocation(sub, start=alloc)
@@ -427,12 +456,11 @@ class TestStartFromAnotherTable:
             alloc, table = brute_force(sc)
             # keep the pattern of the first vertex and every pattern the
             # solution does not use, so one pattern's vertices survive
-            first = table.patterns[alloc.vertices[0][0][0]]
-            keep = [p for i, p in enumerate(table.patterns) if p is first or alloc.x[i] == 0]
+            first = alloc.vertices[0][0][0]
+            keep = [p for i, p in enumerate(table.patterns) if p == first or alloc.x[i] == 0]
             sub = build_rate_table(sc, build_gains(sc), keep)
-            carried = solver._carry(alloc, sub)
             wc = sub.bandwidth_hz * sub.c
-            patterns, assign, weights = _warm_start(carried, wc)
+            patterns, assign, weights = solver._carry(alloc, sub)
             rates = weights @ _vertex_rates(wc, patterns, assign)
             if rates.min() > 0:
                 continue
@@ -456,12 +484,34 @@ class TestStartFromAnotherTable:
             assert abs(warm.objective - alloc.objective) <= tol * abs(alloc.objective)
             check_certificate(warm)
 
+    def test_a_start_whose_idle_servers_serve_their_owners_solves_identically(self):
+        # a vertex is its pattern and its rate vector, so moving every relay
+        # that gives its user nothing to the relay's owner changes no vertex
+        moved = []
+        for seed in range(8):
+            sc = gen_scenario(6, seed, walls_random=4)
+            table = build_rate_table(sc, build_gains(sc), all_patterns(sc.num_servers).members)
+            early = solve_allocation(table, SolverOptions(max_iters=3))
+            vertices = []
+            for (p, assign), w in early.vertices:
+                i = table.patterns.index(p)
+                owned = tuple(n - 1 if n > 0 and table.c[u, n, i] == 0 else u for n, u in enumerate(assign))
+                vertices.append(((p, owned), w))
+            moved.append(sum(v[0] != e[0] for v, e in zip(vertices, early.vertices)))
+            a = solve_allocation(table, start=early)
+            b = solve_allocation(table, start=dataclasses.replace(early, vertices=tuple(vertices)))
+            assert np.array_equal(a.x, b.x) and np.array_equal(a.rates.r_eff, b.rates.r_eff)
+            assert (a.objective, a.fw_gap, a.iterations, a.stats) == (b.objective, b.fw_gap, b.iterations, b.stats)
+            assert np.array_equal(a.y * (table.c > 0), b.y * (table.c > 0))
+        print(f"reassigned start vertices per drop: {moved}")
+        assert min(moved) >= 1
+
     def test_a_start_whose_patterns_are_all_absent_is_a_cold_start(self):
         sc = gen_scenario(5, seed=2, walls_random=4)
         alloc, table = brute_force(sc)
         unused = [p for i, p in enumerate(table.patterns) if alloc.x[i] == 0]
         sub = build_rate_table(sc, build_gains(sc), unused)
-        assert solver._carry(alloc, sub) == ()
+        assert solver._carry(alloc, sub) is None
         warm, cold = solve_allocation(sub, start=alloc), solve_allocation(sub)
         assert np.array_equal(warm.x, cold.x) and warm.objective == cold.objective
 
@@ -584,9 +634,9 @@ class TestSolveAllocation:
         table = build_rate_table(sc, build_gains(sc), all_patterns(sc.num_servers).members)
         alloc = solve_allocation(table)
         x = np.zeros_like(alloc.x)
-        for (i, assign), w in alloc.vertices:
+        for (p, assign), w in alloc.vertices:
             assert len(assign) == sc.num_servers
-            x[i] += w
+            x[table.patterns.index(p)] += w
         assert np.array_equal(x, alloc.x)
         assert "vertices" not in alloc.to_dict(table)
 
@@ -732,14 +782,13 @@ class TestFixedAssociationFromACertifiedStart:
         assert abs(final.objective - cold.objective) <= tol * max(abs(cold.objective), 1.0)
         check_certificate(final, equality=False)
         # the warm-started solve that the early return stands in for exits at
-        # its first iteration with the same point, certificate and counts; y
-        # differs only where the efficiency is 0 (which user an idle server
-        # is recorded as serving)
-        warm = solver._fw_solve(masked, SolverOptions(), start=start.vertices)
+        # its first iteration with the same point, certificate and counts;
+        # it holds the start's vertices as they are, so y is the same too
+        warm = solver._fw_solve(masked, SolverOptions(), start=start)
         assert warm.iterations == 1 and warm.converged and warm.stats == final.stats
         assert np.array_equal(warm.x, final.x) and np.array_equal(warm.rates.r_eff, final.rates.r_eff)
         assert (warm.objective, warm.fw_gap) == (final.objective, final.fw_gap)
-        assert np.array_equal(warm.y * z * table.c, final.y * table.c)
+        assert np.array_equal(warm.y * z, final.y)
 
     def test_lossy_rounding_goes_through_the_solve(self, monkeypatch):
         start, table = brute_force(gen_scenario(4, seed=5, walls_random=4))
