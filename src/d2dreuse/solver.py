@@ -5,49 +5,47 @@ time-share polytope) is solved by fully corrective Frank-Wolfe
 (simplicial decomposition).  The linear oracle decomposes exactly: pick
 one pattern, then for each server the user with the largest gradient
 entry, so every iterate is an explicit convex combination of (pattern,
-per-server user assignment) vertices.  The objective sees only a
-vertex's rate vector, so a vertex is its pattern and its rate vector,
-whichever user a server with nothing to give serves.  Each iteration
+per-server user assignment) vertices.  A vertex is its pattern and its
+rate vector, the only part of it the objective sees.  Each iteration
 that does not certify adds the oracle vertex at weight 0 (unless it is
 already held) and re-optimizes the weights over all held vertices with
-at most two steps of Newton's method on the simplex; that is the one
-weight update, with no step-size search and no schedule.  Two rules
-keep it moving:
+at most two steps of Newton's method on the simplex, which drop the
+vertices they drive to zero weight; that is the one weight update, with
+no step-size search and no schedule.  Two rules keep it moving: a vertex
+at weight 0 whose Newton component is negative leaves the active set,
+and the system is solved again over the rest without using up a step;
+and an iteration whose oracle vertex is already held and whose
+re-optimization moves no weight ends the solve, as the next would
+repeat it.
 
-* a vertex at weight 0 whose Newton component is negative leaves the
-  active set, and the Newton system is solved again over the rest, a
-  re-solve that the two-step budget does not count; and
-* an iteration whose oracle vertex is already held and whose
-  re-optimization moves no weight ends the solve unconverged, since the
-  next iteration would repeat it.
+Each weight update leaves one rate state, from which the next oracle
+call, certificate test and Newton round start: the rates phi.T @ w of
+the vertex rates and weights, the log's slope and curvature there, and
+the objective.  The solve returns its exit state: the rates, objective
+and fw_gap are that state's, and y, assembled from the same vertices,
+agrees with those rates to round-off.  Every exit tests that state, so
+converged says whether fw_gap certifies.
 
-The Newton steps drop the vertices they drive to zero weight and so keep
-the active set small.  The start is not re-optimized before its first
-certificate test.
+A cold start is one vertex per user (an optimum needs only about U
+active patterns, by Caratheodory): the BS serves that user alone on its
+best BS pattern and every relay serves its own user.  Relaying is
+zero-sum in effective rate (what a relay forwards comes out of its
+owner's rate), so these vertices drain no one, and their uniform mix
+gives every user the BS reaches a positive rate.  A caller may instead
+start from an earlier solution on any table of the same scenario (see
+solve_allocation).  No start is re-optimized before its first test.
 
-The start is sparse: an optimum needs only about U active patterns
-(Caratheodory), so the solve begins from one vertex per user, in which
-the BS serves that user alone on its best BS pattern and every relay
-serves its own user, and the oracle brings in any other vertex it needs.
-Relaying is zero-sum in effective rate (what a relay forwards comes out
-of its owner's rate), so these vertices drain no one, and their uniform
-mix gives every user the BS reaches a positive rate.  This keeps the
-active set, and with it the corrective Newton system over the vertex
-weights, small however many patterns the table holds.  A caller may
-instead start from an earlier solution on any table of the same
-scenario (see solve_allocation).
-
-Strict rate positivity is handled with a tangent-extended logarithm: below
-a small rate floor the log is continued linearly, which keeps the
-surrogate concave and finite everywhere.  Whenever the returned point has
-all rates above the floor, the surrogate and the true objective share
-value and gradient there, so the Frank-Wolfe gap certificate transfers.
+Strict rate positivity is handled with a tangent-extended logarithm:
+below a small rate floor the log is continued linearly, which keeps the
+surrogate concave and finite everywhere.  Above the floor the surrogate
+and the true log share value and gradient, so the Frank-Wolfe gap
+transfers; an exit with a rate under the floor is tested on the true log.
 """
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -75,9 +73,11 @@ class SolveStats:
     """What one Frank-Wolfe solve did, counted as it ran.
 
     Every iteration either adds its oracle vertex (fw_steps), finds it
-    already held (polish_only), shrinks the rate floor, or returns the
-    certificate; so fw_steps + polish_only + shrinks + converged equals
-    the iteration count.  Each of the first two re-optimizes the weights.
+    already held (polish_only), shrinks the rate floor, or certifies and
+    returns; each of the first two re-optimizes the weights.  A solve that
+    stops otherwise tests the state it returns within its last iteration.
+    So fw_steps + polish_only + shrinks equals the iteration count, plus 1
+    when the solve certified at the start of an iteration.
     """
 
     fw_steps: int = 0
@@ -172,17 +172,18 @@ def pattern_scores(wc: np.ndarray, inv: np.ndarray):
     return p.max(axis=0).sum(axis=0), p
 
 
-def _lmo(wc: np.ndarray, inv: np.ndarray):
-    """Best vertex for the linearized objective.
+def _lmo(wc: np.ndarray, inv: np.ndarray, r: np.ndarray):
+    """Best vertex for the objective linearized at rates r with slope inv.
 
-    Returns (pattern index, per-server user assignment, score).  Every
-    server serves the first user of largest entry; which user a server
-    whose largest entry is 0 serves does not change the vertex's rates.
+    Returns (pattern index, per-server user assignment, Frank-Wolfe gap),
+    the gap being the vertex's score less inv . r.  Every server serves
+    the first user of largest entry; which user a server whose largest
+    entry is 0 serves does not change the vertex's rates.
     """
     scores, p = pattern_scores(wc, inv)
     i_star = int(np.argmax(scores))
     assign = p[:, :, i_star].argmax(axis=0)
-    return i_star, assign, float(scores[i_star])
+    return i_star, assign, float(scores[i_star]) - float(np.dot(inv, r))
 
 
 def _vertex_rates(wc: np.ndarray, patterns: np.ndarray, assign: np.ndarray) -> np.ndarray:
@@ -206,6 +207,15 @@ def _vertex_rates(wc: np.ndarray, patterns: np.ndarray, assign: np.ndarray) -> n
 _RATE_FLOOR = 1e-8  # the surrogate log's starting floor, relative to the largest efficiency
 _MAX_NEWTON_ROUNDS = 2  # Newton steps per re-optimization; re-solves after a drop are free
 _PRUNE_FLOOR = 1e-16  # active-set weight under which a vertex is dropped
+
+
+class _RateState(NamedTuple):
+    """Rates phi.T @ w of an active set, _phi's slope and curvature there, and the surrogate objective."""
+
+    r: np.ndarray
+    slope: np.ndarray
+    curv: np.ndarray
+    obj: float
 
 
 class _ActiveSet:
@@ -257,8 +267,12 @@ class _ActiveSet:
     def rates(self) -> np.ndarray:
         return self.phi.T @ self.w
 
+    def state(self, eps: float) -> _RateState:
+        r = self.rates()
+        return _RateState(r, *_phi_derivs(r, eps), float(_phi(r, eps).sum()))
 
-def _corrective_newton(active: "_ActiveSet", eps: float) -> tuple[int, bool]:
+
+def _corrective_newton(active: "_ActiveSet", eps: float, state: _RateState) -> tuple[int, bool, _RateState]:
     """Re-optimize the weights over the current vertices (simplex Newton).
 
     Takes at most _MAX_NEWTON_ROUNDS Armijo-damped Newton steps of the
@@ -266,27 +280,27 @@ def _corrective_newton(active: "_ActiveSet", eps: float) -> tuple[int, bool]:
     zero weight.  A vertex at weight 0 (an oracle vertex just added) whose
     Newton component is negative is dropped instead of capping the step
     at 0, and the system is solved again over the rest; that re-solve is
-    not a step.  Returns the number of KKT solves and whether any weight
-    moved.
+    not a step.  The first round starts from state, that of the weights as
+    they come in.  Returns the KKT solve count, whether any weight moved,
+    and the state of the weights it leaves, recomputed after any change and
+    when none moved (a vertex added at weight 0 can move their last bits).
     """
-    rounds = steps = 0
-    moved = False
+    rounds, steps, moved, stale = 0, 0, False, False
     while steps < _MAX_NEWTON_ROUNDS:
         n = len(active)
         if n <= 1:
             break
+        if stale:
+            state, stale = active.state(eps), False
         rounds += 1
-        p_mat = active.phi
-        w = active.w.copy()
-        r = p_mat.T @ w
-        slope, curv = _phi_derivs(r, eps)
+        p_mat, w = active.phi, active.w
         kkt = np.ones((n + 1, n + 1))
         kkt[n, n] = 0.0
-        kkt[:n, :n] = (p_mat * curv) @ p_mat.T
+        kkt[:n, :n] = (p_mat * state.curv) @ p_mat.T
         h_diag = kkt.reshape(-1)[: n * (n + 2) : n + 2]  # view of the Hessian's diagonal
         h_diag += 1e-10 * (h_diag.sum() / n + 1.0)
         rhs = np.zeros(n + 1)
-        rhs[:n] = p_mat @ slope
+        rhs[:n] = p_mat @ state.slope
         try:
             sol = np.linalg.solve(kkt, rhs)
         except np.linalg.LinAlgError:
@@ -294,33 +308,28 @@ def _corrective_newton(active: "_ActiveSet", eps: float) -> tuple[int, bool]:
         dw = sol[:n]
         if np.any(dw[w <= 0] < 0):
             active.prune()
+            stale = True
             continue
         steps += 1
         g_dot_d = float(rhs[:n] @ dw)  # the squared Newton decrement
-        f0 = float(_phi(r, eps).sum())
+        f0 = state.obj
         if g_dot_d <= 1e-13 * (abs(f0) + 1.0) or np.abs(dw).max() < 1e-18:
             break  # no gain that the Armijo test could resolve
         neg = dw < 0
-        t_max = 1.0
-        if neg.any():
-            t_max = min(1.0, float(np.min(w[neg] / -dw[neg])))
-        t = t_max
-        accepted = False
+        t = min(1.0, float(np.min(w[neg] / -dw[neg]))) if neg.any() else 1.0
         for _ in range(40):
-            r_new = p_mat.T @ (w + t * dw)
-            if float(_phi(r_new, eps).sum()) > f0 + 1e-4 * t * g_dot_d:
-                accepted = True
+            if float(_phi(p_mat.T @ (w + t * dw), eps).sum()) > f0 + 1e-4 * t * g_dot_d:
                 break
             t *= 0.5
-        if not accepted:
-            break
+        else:
+            break  # no Armijo point
         active.w = np.maximum(w + t * dw, 0.0)
         active.prune()
         active.normalize()
-        moved = True
+        moved = stale = True
         if t * g_dot_d < 1e-14 * (abs(f0) + 1.0):
             break  # negligible improvement left on this vertex set
-    return rounds, moved
+    return rounds, moved, active.state(eps) if stale or not moved else state
 
 
 def _sparse_start(wc: np.ndarray, link: np.ndarray):
@@ -367,31 +376,21 @@ def _fw_solve(rate_table: RateTable, options: SolverOptions, start: Optional[All
     active.normalize()
 
     counts = dict.fromkeys(("fw_steps", "polish_only", "newton_rounds", "shrinks"), 0)
-    it = 0
-    while it < options.max_iters:
-        it += 1
-        r = active.rates()
-        min_r = float(r.min())
-        inv = _phi_derivs(r, eps)[0]
-        obj = float(_phi(r, eps).sum())
-
-        i_star, assign, score = _lmo(wc, inv)
-        gap_fw = score - float(np.dot(inv, r))
-
-        if gap_fw <= tol * max(abs(obj), 1.0):
+    state = active.state(eps)
+    for it in range(1, options.max_iters + 1):
+        min_r = float(state.r.min())
+        i_star, assign, gap_fw = _lmo(wc, state.slope, state.r)
+        if gap_fw <= tol * max(abs(state.obj), 1.0):
             if min_r >= eps:
-                # exit on the certificate that is returned, whose rates are
-                # recomputed from (x, y) and may differ in the last bits
-                alloc = _assemble(rate_table, wc, active, it, True, counts)
-                if alloc.fw_gap <= tol * max(abs(alloc.objective), 1.0):
-                    return alloc
-            else:
-                # surrogate optimal but some rate still under the floor
-                counts["shrinks"] += 1
-                if counts["shrinks"] > 6:
-                    break
-                eps = eps * 1e-3 if min_r <= 0 else min(eps * 1e-3, 0.25 * min_r)
-                continue
+                # this state and its certificate are the ones returned
+                return _assemble(rate_table, wc, active, state, gap_fw, it, True, counts)
+            # surrogate optimal but some rate still under the floor
+            counts["shrinks"] += 1
+            if counts["shrinks"] > 6:
+                break
+            eps = eps * 1e-3 if min_r <= 0 else min(eps * 1e-3, 0.25 * min_r)
+            state = active.state(eps)
+            continue
 
         # fully corrective step: add the oracle vertex at weight 0, then
         # re-optimize the weights over every held vertex
@@ -402,39 +401,37 @@ def _fw_solve(rate_table: RateTable, options: SolverOptions, start: Optional[All
         else:
             counts["fw_steps"] += 1
             active.add(i_star, assign, phi_row)
-        rounds, moved = _corrective_newton(active, eps)
+        rounds, moved, state = _corrective_newton(active, eps, state)
         counts["newton_rounds"] += rounds
         if held and not moved:
             break  # the next iteration would repeat this one
 
-    r = active.rates()
-    if float(r.min()) <= 0.0:
+    # the other exits test the state they return too, on the true log (eps 0)
+    if float(state.r.min()) <= 0.0:
         raise InfeasibleError("no strictly positive effective-rate point found")
-    return _assemble(rate_table, wc, active, it, False, counts)
+    state = active.state(0.0)
+    gap_fw = _lmo(wc, state.slope, state.r)[2]
+    converged = gap_fw <= tol * max(abs(state.obj), 1.0)
+    return _assemble(rate_table, wc, active, state, gap_fw, it, converged, counts)
 
 
-def _certificate(wc: np.ndarray, rates: Rates) -> float:
-    """The Frank-Wolfe gap, with the exact gradient at rates."""
-    inv = 1.0 / rates.r_eff
-    return float(pattern_scores(wc, inv)[0].max()) - float(np.dot(inv, rates.r_eff))
-
-
-def _assemble(
-    rate_table: RateTable, wc: np.ndarray, active: _ActiveSet, iterations: int, converged: bool, counts: dict
-) -> Allocation:
+def _assemble(rate_table: RateTable, wc: np.ndarray, active: _ActiveSet, state: _RateState, fw_gap: float,
+              iterations: int, converged: bool, counts: dict) -> Allocation:
+    """The allocation of the exit state: its rates, objective and gap, with
+    x and y added up from its vertices one by one, in the active set's order."""
     num_users, num_servers, num_patterns = rate_table.c.shape
     x = np.zeros(num_patterns)
     y = np.zeros((num_users, num_servers, num_patterns))
-    # accumulated vertex by vertex, in the active set's order
+    entries = (active.asg, np.arange(num_servers), active.pat[:, None])
     np.add.at(x, active.pat, active.w)
-    np.add.at(y, (active.asg, np.arange(num_servers), active.pat[:, None]), active.w[:, None])
-    rates = rates_from_allocation(rate_table, y)
-    objective = float(np.log(rates.r_eff).sum())
-    fw_gap = _certificate(wc, rates)
+    np.add.at(y, entries, active.w[:, None])
+    served = wc[entries] * active.w[:, None]  # (K, N) rate each vertex's servers give
+    rates = Rates(r_bar=np.bincount(active.asg.ravel(), served.ravel(), num_users),
+                  r_tilde=served.sum(axis=0), r_eff=state.r)
     vertices = tuple(((rate_table.patterns[i], tuple(assign)), w)
                      for i, assign, w in zip(active.pat.tolist(), active.asg.tolist(), active.w.tolist()))
     return Allocation(
-        x=x, y=y, rates=rates, objective=objective, fw_gap=fw_gap, iterations=iterations,
+        x=x, y=y, rates=rates, objective=state.obj, fw_gap=fw_gap, iterations=iterations,
         converged=converged, vertices=vertices,
         stats=SolveStats(**counts, dropped=active.dropped, peak_active=active.peak),
     )
@@ -451,8 +448,8 @@ def solve_allocation(
     solve begins at start's vertices on the patterns this table holds, and
     iterations count from that point; when it holds none of them, the
     solve starts cold.  Raises InfeasibleError when no all-positive-rate
-    point exists; a run that exhausts the iteration budget returns its
-    best iterate with converged=False.
+    point exists.  A solve that exhausts the iteration budget returns its
+    last iterate, converged only when that iterate certifies.
     """
     return _fw_solve(rate_table, options, start)
 
@@ -490,13 +487,13 @@ def solve_fixed_association(
     masked = RateTable(rate_table.patterns, rate_table.c * z, rate_table.bandwidth_hz)
     if start is not None and not np.any(start.y * rate_table.c * (z == 0)):
         # Rounding lost no rate, so the start's rates are its rates on the
-        # masked table.  If they certify there, the warm-started solve would
-        # rebuild them from the start's vertices only to exit at its first
-        # iteration; that exit is taken here, on the same rate floor and
-        # certificate, with the same counts.
+        # masked table.  If they certify there, a warm-started solve would
+        # exit at its first iteration; that exit is taken here, on the same
+        # rate floor and certificate, with the same counts.
         wc = masked.bandwidth_hz * masked.c
-        fw_gap = _certificate(wc, start.rates)
-        if (float(start.rates.r_eff.min()) >= _RATE_FLOOR * float(wc.max())
+        r = start.rates.r_eff
+        fw_gap = _lmo(wc, 1.0 / r, r)[2]
+        if (float(r.min()) >= _RATE_FLOOR * float(wc.max())
                 and fw_gap <= options.tolerance * max(abs(start.objective), 1.0)):
             return dataclasses.replace(
                 start, y=start.y * z, fw_gap=fw_gap, iterations=1, converged=True,

@@ -174,11 +174,12 @@ class TestScorePattern:
                 assert scores[k] == ref
             else:
                 assert abs(scores[k] - ref) <= summation_bound(sc, gains, cand, alloc.rates)
-        # the best table score is the score of the Frank-Wolfe oracle's vertex
+        # the best table score, less inv . r, is the Frank-Wolfe oracle's gap
         wc = table.bandwidth_hz * table.c
-        i_star, _, lmo_score = _lmo(wc, 1.0 / alloc.rates.r_eff)
+        inv = 1.0 / alloc.rates.r_eff
+        i_star, _, lmo_gap = _lmo(wc, inv, alloc.rates.r_eff)
         assert int(np.argmax(scores)) == i_star
-        assert scores.max() == lmo_score
+        assert scores.max() - float(np.dot(inv, alloc.rates.r_eff)) == lmo_gap
 
     def test_rejects_nonpositive_rates(self):
         table = build_rate_table(self.sc, self.gains, (Pattern(1, self.sc.num_servers),))

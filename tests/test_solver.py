@@ -11,6 +11,7 @@ from d2dreuse import (
     build_gains,
     build_rate_table,
     directional_objective,
+    rates_from_allocation,
     solve_allocation,
     solve_fixed_association,
     solver,
@@ -29,6 +30,7 @@ from d2dreuse.solver import (
     _vertex_rates,
 )
 
+from conftest import blocked_scenario
 from test_model import synthetic_table
 
 
@@ -213,7 +215,8 @@ class TestAssemble:
         patterns = np.array([1, 1, 0, 1])
         assign = np.array([[0, 0, 1, 1], [0, 0, 0, 0], [1, 1, 1, 1]])
         weights = [0.1, 0.2, 0.25, 0.3]
-        alloc = _assemble(table, wc, _ActiveSet(wc, patterns, assign, weights), 1, True, {})
+        active = _ActiveSet(wc, patterns, assign, weights)
+        alloc = _assemble(table, wc, active, active.state(0.0), 0.0, 1, True, {})
         vertices = [((table.patterns[i], tuple(a)), w) for i, a, w in zip(patterns, assign.T.tolist(), weights)]
         assert alloc.vertices == tuple(vertices)
         x, y = assemble_loop(table, vertices)
@@ -231,14 +234,79 @@ class TestCorrectiveNewton:
         eps = 1e-8 * float(wc.max())
         active = _ActiveSet(wc, *solver._carry(alloc, table))
         active.normalize()
-        _corrective_newton(active, eps)  # polish the weights to the optimum
+        _corrective_newton(active, eps, active.state(eps))  # polish the weights to the optimum
         w = active.w.copy()
+        state = active.state(eps)
         phi_calls = []
         real_phi = solver._phi
         monkeypatch.setattr(solver, "_phi", lambda r, e: phi_calls.append(1) or real_phi(r, e))
-        assert _corrective_newton(active, eps) == (1, False)
-        assert len(phi_calls) == 1  # the value at the start; no Armijo trial point
+        rounds, moved, out = _corrective_newton(active, eps, state)
+        assert (rounds, moved) == (1, False)
+        assert len(phi_calls) == 1  # the returned state's objective; no Armijo trial point
         assert np.array_equal(active.w, w)
+        assert np.array_equal(out.r, state.r) and out.obj == state.obj
+
+
+class TestCorrectiveNewtonState:
+    """_corrective_newton hands back the rate state of the weights it
+    leaves: the rates phi.T @ w of the active set as it stands, bit for
+    bit, with _phi's value, slope and curvature there."""
+
+    @staticmethod
+    def check_state(active, eps, state):
+        r = active.rates()
+        assert np.array_equal(state.r, r)
+        assert state.obj == float(_phi(r, eps).sum())
+        slope, curv = _phi_derivs(r, eps)
+        assert np.array_equal(state.slope, slope) and np.array_equal(state.curv, curv)
+
+    def test_after_a_drop_re_solve(self):
+        # the vertex at weight 0 is dominated by the even mix of the others
+        active = TestTerminationRules.active_set([([1.0, 0.0], 0.9), ([0.0, 1.0], 0.1), ([0.1, 0.1], 0.0)])
+        rounds, moved, state = _corrective_newton(active, 1e-8, active.state(1e-8))
+        assert rounds == solver._MAX_NEWTON_ROUNDS + 1 and moved and active.dropped == 1
+        self.check_state(active, 1e-8, state)
+
+    @staticmethod
+    def polished(table, eps, start):
+        """start's vertices on table, with weights re-optimized to the optimum."""
+        active = _ActiveSet(table.bandwidth_hz * table.c, *solver._carry(start, table))
+        _corrective_newton(active, eps, active.state(eps))
+        return active
+
+    def test_after_a_step_capped_at_a_zero_crossing(self, monkeypatch):
+        # from the weights of this drop's first iteration, the one step
+        # allowed takes a vertex's weight to 0, and the vertex is pruned
+        _, table = brute_force(gen_scenario(8, seed=5, walls_random=4))
+        wc = table.bandwidth_hz * table.c
+        eps = 1e-8 * float(wc.max())
+        first = solve_allocation(table, SolverOptions(max_iters=1))
+        active = _ActiveSet(wc, *solver._carry(first, table))
+        monkeypatch.setattr(solver, "_MAX_NEWTON_ROUNDS", 1)
+        rounds, moved, state = _corrective_newton(active, eps, active.state(eps))
+        assert (rounds, moved) == (1, True) and active.dropped == 1
+        self.check_state(active, eps, state)
+
+    def test_after_a_break_without_a_step(self):
+        alloc, table = brute_force(gen_scenario(8, seed=5, walls_random=4))
+        wc = table.bandwidth_hz * table.c
+        eps = 1e-8 * float(wc.max())
+        active = self.polished(table, eps, alloc)
+        rounds, moved, state = _corrective_newton(active, eps, active.state(eps))
+        assert (rounds, moved) == (1, False)
+        self.check_state(active, eps, state)
+        # as in the solve loop, a vertex is added at weight 0 after the state
+        # was taken, which can move the last bits of phi.T @ w: a copy of
+        # vertex 1 stays at weight 0, and a new vertex is dropped
+        new = np.zeros(table.c.shape[1], dtype=int)
+        for kept, vertex in [(True, (active.pat[1], active.asg[1], active.phi[1].copy())),
+                             (False, (0, new, _vertex_rates(wc, np.array([0]), new[:, None])[0]))]:
+            active = self.polished(table, eps, alloc)
+            state = active.state(eps)
+            active.add(*vertex)
+            rounds, moved, state = _corrective_newton(active, eps, state)
+            assert not moved and (active.w[-1] == 0.0) == kept
+            self.check_state(active, eps, state)
 
 
 class TestTerminationRules:
@@ -256,19 +324,56 @@ class TestTerminationRules:
         # by their even mix and gets a negative Newton component
         rows = [([1.0, 0.0], 0.9), ([0.0, 1.0], 0.1)]
         ref = self.active_set(rows)
-        assert _corrective_newton(ref, 1e-8) == (solver._MAX_NEWTON_ROUNDS, True)
+        assert _corrective_newton(ref, 1e-8, ref.state(1e-8))[:2] == (solver._MAX_NEWTON_ROUNDS, True)
         active = self.active_set(rows + [([0.1, 0.1], 0.0)])
-        assert _corrective_newton(active, 1e-8) == (solver._MAX_NEWTON_ROUNDS + 1, True)
+        assert _corrective_newton(active, 1e-8, active.state(1e-8))[:2] == (solver._MAX_NEWTON_ROUNDS + 1, True)
         assert active.pat.tolist() == ref.pat.tolist() and active.dropped == 1
         assert np.array_equal(active.w, ref.w)
 
     def test_a_held_vertex_with_no_weight_moved_ends_the_solve_unconverged(self, monkeypatch):
         _, table = brute_force(gen_scenario(5, seed=1, walls_random=4))
-        monkeypatch.setattr(solver, "_corrective_newton", lambda active, eps: (0, False))
+        monkeypatch.setattr(solver, "_corrective_newton", lambda active, eps, state: (0, False, state))
         alloc = solve_allocation(table)
         # iteration 1 adds the oracle vertex, iteration 2 finds it held
         assert not alloc.converged and alloc.iterations == 2
         assert alloc.stats == SolveStats(fw_steps=1, polish_only=1, peak_active=6)
+        st = alloc.stats
+        assert st.fw_steps + st.polish_only + st.shrinks == alloc.iterations
+
+    def test_a_solve_stopped_by_its_budget_tests_the_state_it_returns(self):
+        # max_iters=13 certifies at the start of iteration 13; with 12 the
+        # same state is the exit state, and the exit test certifies it
+        tol = SolverOptions().tolerance
+        sc = gen_scenario(8, 1_000_000, walls_random=4)
+        capped, _ = brute_force(sc, SolverOptions(max_iters=12))
+        full, _ = brute_force(sc, SolverOptions(max_iters=13))
+        assert full.converged and full.iterations == 13
+        assert capped.converged and capped.iterations == 12
+        assert capped.fw_gap <= tol * max(abs(capped.objective), 1.0)
+        assert np.array_equal(capped.x, full.x) and np.array_equal(capped.rates.r_eff, full.rates.r_eff)
+        assert (capped.objective, capped.fw_gap, capped.stats) == (full.objective, full.fw_gap, full.stats)
+        st = capped.stats
+        assert st.fw_steps + st.polish_only + st.shrinks == capped.iterations
+        short, _ = brute_force(sc, SolverOptions(max_iters=11))
+        assert not short.converged and short.fw_gap > tol * max(abs(short.objective), 1.0)
+
+    @pytest.mark.parametrize("num_dues, seed, converged", [(5, 1, False), (6, 3, True)])
+    def test_a_held_vertex_exit_tests_the_state_it_returns(self, num_dues, seed, converged, monkeypatch):
+        # a re-optimization that moves the weights but says it did not ends
+        # the solve at the first held oracle vertex, on weights whose
+        # certificate no iteration has tested yet
+        tol = SolverOptions().tolerance
+        _, table = brute_force(gen_scenario(num_dues, seed=seed, walls_random=4))
+        real = solver._corrective_newton
+
+        def says_unmoved(*args):
+            rounds, _, state = real(*args)
+            return rounds, False, state
+
+        monkeypatch.setattr(solver, "_corrective_newton", says_unmoved)
+        alloc = solve_allocation(table)
+        assert alloc.stats.polish_only == 1
+        assert alloc.converged == converged == (alloc.fw_gap <= tol * max(abs(alloc.objective), 1.0))
         st = alloc.stats
         assert st.fw_steps + st.polish_only + st.shrinks == alloc.iterations
 
@@ -305,6 +410,48 @@ class TestSolveStats:
             assert st.fw_steps + st.polish_only + st.shrinks + 1 == a.iterations
             assert st.newton_rounds >= st.fw_steps + st.polish_only
             assert 1 <= len(a.vertices) <= st.peak_active
+
+
+class TestCertificateOfTheReturnedState:
+    """An allocation's fw_gap is the exact oracle gap at its own rates, and
+    those rates are phi.T @ w of its own vertices, which y agrees with."""
+
+    @staticmethod
+    def check(table, alloc):
+        r = alloc.rates.r_eff
+        assert alloc.fw_gap == float(score_pattern(table, alloc.rates).max()) - float(np.dot(1.0 / r, r))
+        from_y = rates_from_allocation(table, alloc.y)
+        for field in ("r_bar", "r_tilde", "r_eff"):
+            np.testing.assert_allclose(getattr(alloc.rates, field), getattr(from_y, field), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(alloc.rates.r_bar - alloc.rates.r_tilde[1:], r, rtol=1e-12, atol=0)
+        wc = table.bandwidth_hz * table.c
+        assert np.array_equal(r, _ActiveSet(wc, *solver._carry(alloc, table)).rates())
+        assert alloc.objective == float(np.log(r).sum())
+
+    @pytest.mark.parametrize("num_dues", [4, 6, 8])
+    def test_brute_force_tables(self, num_dues):
+        for seed in range(3):
+            alloc, table = brute_force(gen_scenario(num_dues, seed, walls_random=4))
+            self.check(table, alloc)
+
+    @pytest.mark.parametrize("scenario, final_solved", [
+        (gen_scenario(6, 0, walls_random=4), False),
+        (blocked_scenario(6, 5, walls_random=4), True),
+        (blocked_scenario(6, 6, walls_random=4), True),
+        (gen_scenario(12, 0, walls_random=4), False),
+        (gen_scenario(12, 1, walls_random=4), False),
+    ])
+    def test_relaxed_and_final_allocations_of_run(self, scenario, final_solved):
+        # the final allocation of these U = 12 and unblocked U = 6 drops is
+        # the early return of solve_fixed_association, which keeps the
+        # relaxed allocation's rates and scores them on the masked table
+        report = run(scenario)
+        table = build_rate_table(scenario, build_gains(scenario), report.final_patterns.members)
+        self.check(table, report.relaxed_allocation)
+        masked = RateTable(table.patterns, table.c * report.associations, table.bandwidth_hz)
+        final = report.final_allocation
+        self.check(masked, final)
+        assert (final.stats.newton_rounds > 0) == final_solved
 
 
 class TestSparseStart:
